@@ -3,7 +3,7 @@
 Reads graphs from offset-format files (.grf) or plain edge lists, prints
 invariants, spectra, cycles, orbit candidates, and comparison verdicts in
 a human layout or a machine JSON layout.  Exit code 1 flags a not
-isomorphic verdict; malformed input exits 2.
+isomorphic verdict; malformed or unreadable input exits 2.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from .engine import (
     tree_invariant,
     vertex_orbit_partition,
 )
-from .errors import EdgespecError
+from .errors import EdgespecError, GrfParseError
 from .graphs import Graph
 from .grf import load_graph, parse_edgelist, parse_grf
 from .isometric import cycle_order, isometric_cycles
-from .linegraph import classify_line_cycles, digital_invariant_IL
+from .linegraph import classify_line_cycles, line_weights
 from .spectra import (
     Invariant,
     SpectrumInvariant,
@@ -41,9 +41,10 @@ LINE_WARN_EDGES = 200
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GrfParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _load(path: str) -> Graph:
@@ -91,7 +92,9 @@ def _spectrum_inv_dict(si: SpectrumInvariant) -> dict:
 
 
 def _emit_machine(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    # an explicit file bypasses click's stream cache, which never frees a
+    # redirected sys.stdout; the JSON text is ASCII either way
+    click.echo(json.dumps(payload, indent=2, sort_keys=True), file=sys.stdout)
 
 
 def _print_integral(g: Graph, inv: IntegralInvariant) -> None:
@@ -347,7 +350,8 @@ def linegraph(path: str, fmt: str) -> None:
         g = _load(path)
         _warn_line(g)
         lg, cls = classify_line_cycles(g)
-        inv = digital_invariant_IL(g)
+        vertex_sets = (image for _, image in cls.triples + cls.images + cls.doubles)
+        inv = Invariant.from_weights(*line_weights(g, vertex_sets))
     except EdgespecError as exc:
         _fail(exc)
     triples, images, doubles = cls.counts

@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 
 from .errors import LimitExceeded, NotAPermutation, NotATree
 from .graphs import Graph, build_graph
-from .isometric import cycle_vertices, isometric_cycles
-from .linegraph import digital_invariant_IL, line_graph
+from .isometric import isometric_cycles
+from .linegraph import digital_invariant_IL, line_cycle_weights
 from .spectra import (
     Invariant,
     SpectrumInvariant,
@@ -174,16 +174,7 @@ def vertex_orbit_partition(
     zeta_cut = vertex_weights(cut, spectrum_edge_weights(cut))
     cyc = build_cycle_spectrum(g, 1)
     zeta_cyc = vertex_weights(cyc, spectrum_edge_weights(cyc))
-    line_part: tuple[int, ...] | None = None
-    if with_line:
-        lg = line_graph(g)
-        xi = [0] * g.m
-        for lc in isometric_cycles(lg.graph, limit):
-            for e in cycle_vertices(lg.graph, lc):
-                xi[e - 1] += 1
-        line_part = tuple(
-            sum(xi[e - 1] for e in g.incident_edges(v)) for v in g.vertices
-        )
+    line_part = line_cycle_weights(g, limit)[1] if with_line else None
     signatures = []
     for v in g.vertices:
         per_level = [level[v - 1] for level in zeta_cut.per_level]

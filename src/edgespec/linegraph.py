@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterable
 
 from .errors import IdentityMismatch
 from .graphs import EdgeSet, Graph, build_graph
@@ -105,15 +106,24 @@ def _common_vertex(g: Graph, image: EdgeSet) -> int | None:
     return min(shared)
 
 
+def line_weights(g: Graph, images: Iterable[Iterable[int]]) -> tuple[list[int], list[int]]:
+    """xi[e - 1] counts the line-cycle vertex sets (source edge ids) that
+    contain e; zeta[v - 1] sums xi over the edges at v."""
+    xi = [0] * g.m
+    for image in images:
+        for e in image:
+            xi[e - 1] += 1
+    zeta = [sum(xi[e - 1] for e in g.incident_edges(v)) for v in g.vertices]
+    return xi, zeta
+
+
+def line_cycle_weights(g: Graph, limit: int = 10**6) -> tuple[list[int], list[int]]:
+    """line_weights over the isometric cycles of the line graph."""
+    lg = line_graph(g).graph
+    return line_weights(g, (cycle_vertices(lg, lc) for lc in isometric_cycles(lg, limit)))
+
+
 def digital_invariant_IL(g: Graph, limit: int = 10**6) -> Invariant:
     """Line invariant: per-edge counts over the line graph's isometric
     cycles, and their sums over each vertex's incident edges."""
-    lg = line_graph(g)
-    xi = [0] * g.m
-    for lc in isometric_cycles(lg.graph, limit):
-        for e in cycle_vertices(lg.graph, lc):
-            xi[e - 1] += 1
-    zeta = [
-        sum(xi[e - 1] for e in g.incident_edges(v)) for v in g.vertices
-    ]
-    return Invariant.from_weights(xi, zeta)
+    return Invariant.from_weights(*line_cycle_weights(g, limit))

@@ -3,11 +3,13 @@
 The base cut of an edge (u,v) is the ring sum of the central cuts of its
 endpoints; the base cycle of an edge is the ring sum of the isometric
 cycles through it, corrected by the rim when the edge lies on it.  Either
-base table drives the same iteration: each row applies the gamma transform
-to its previous cell and dies (records an empty cell) the moment the
-result is zero or repeats any earlier cell of the same row.  Construction
-stops when a whole new level is dead, when a level repeats an earlier
-level, or at an explicit level cap.
+base table is a symmetric 0/1 matrix M over GF(2) with an empty diagonal,
+and level l of its spectrum holds the rows of M^(l+1): each row applies
+the gamma transform to its previous value.  A row dies (shows an empty
+cell) the moment its value is zero or repeats an earlier value of the same
+row.  Construction stops when every row is dead or at an explicit level
+cap.  Because every power of M is symmetric, the weight of edge e at a
+level is the popcount of row e masked by the rows still alive there.
 """
 
 from __future__ import annotations
@@ -59,54 +61,61 @@ class LevelWeights:
     total: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Iterated gamma table over a base of per-edge summands."""
+    """Iterated gamma table over a base of per-edge summands.
 
-    __slots__ = ("kind", "graph", "base", "levels", "truncated")
+    rows[l][e - 1] is row e of M^(l+1); bit e - 1 of alive[l] is set while
+    that row lives.  levels, cell and row show dead rows as None.
+    """
 
-    def __init__(
-        self,
-        kind: str,
-        graph: Graph,
-        base: tuple[EdgeSet, ...],
-        levels: tuple[tuple[Cell, ...], ...],
-        truncated: bool,
-    ) -> None:
-        self.kind = kind
-        self.graph = graph
-        self.base = base
-        self.levels = levels
-        self.truncated = truncated
+    kind: str
+    graph: Graph
+    rows: tuple[tuple[int, ...], ...]
+    alive: tuple[int, ...]
+    truncated: bool
 
     @property
     def level_count(self) -> int:
-        return sum(
-            1 for level in self.levels if any(c is not None for c in level)
+        return sum(1 for mask in self.alive if mask)
+
+    @property
+    def levels(self) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(
+            tuple(self.cell(l, e) for e in self.graph.edge_ids)
+            for l in range(len(self.rows))
         )
 
     def cell(self, level: int, e: int) -> Cell:
         if not 1 <= e <= self.graph.m:
             raise VertexOutOfRange(f"edge id {e} outside 1..{self.graph.m}")
-        return self.levels[level][e - 1]
+        if not (self.alive[level] >> (e - 1)) & 1:
+            return None
+        return EdgeSet.from_bits(self.graph.m, self.rows[level][e - 1])
 
     def row(self, e: int) -> tuple[Cell, ...]:
-        if not 1 <= e <= self.graph.m:
-            raise VertexOutOfRange(f"edge id {e} outside 1..{self.graph.m}")
-        return tuple(level[e - 1] for level in self.levels)
+        return tuple(self.cell(l, e) for l in range(len(self.rows)))
 
     def __repr__(self) -> str:
         return (
-            f"Spectrum(kind={self.kind!r}, levels={len(self.levels)}, "
+            f"Spectrum(kind={self.kind!r}, levels={len(self.rows)}, "
             f"level_count={self.level_count}, truncated={self.truncated})"
         )
 
 
+def _ring_sum_of(bits: int, base: Sequence[int]) -> int:
+    """Ring sum of base[i] over the set bits i of bits."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= base[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
 def gamma(s: EdgeSet, base: Sequence[EdgeSet]) -> EdgeSet:
     """Ring sum of the base summands of all edges in s."""
-    acc = 0
-    for e in s:
-        acc ^= base[e - 1].bits
-    return EdgeSet.from_bits(s.m, acc)
+    return EdgeSet.from_bits(s.m, _ring_sum_of(s.bits, [b.bits for b in base]))
 
 
 def base_edge_cuts(g: Graph) -> tuple[EdgeSet, ...]:
@@ -126,41 +135,29 @@ def gamma_w(g: Graph, s: EdgeSet) -> EdgeSet:
 def _build(kind: str, g: Graph, base: tuple[EdgeSet, ...], level_cap: int | None) -> Spectrum:
     if level_cap is not None and level_cap < 1:
         raise VertexOutOfRange(f"level cap {level_cap} must be at least 1")
-    m = g.m
-    level0: list[Cell] = [b if b.bits else None for b in base]
-    levels: list[tuple[Cell, ...]] = [tuple(level0)]
-    seen: list[set[int]] = [
-        {base[i].bits} if base[i].bits else set() for i in range(m)
-    ]
-    dead = [base[i].bits == 0 for i in range(m)]
-    signatures = {tuple(b.bits for b in base)}
+    matrix = tuple(b.bits for b in base)
+    rows = [matrix]
+    alive = sum(1 << i for i, r in enumerate(matrix) if r)
+    alives = [alive]
+    # a row dies on reaching zero or any value it has held before
+    seen = [{0, r} for r in matrix]
     truncated = False
-    while True:
-        if level_cap is not None and len(levels) >= level_cap:
-            truncated = not all(dead)
+    while alive:
+        if level_cap is not None and len(rows) >= level_cap:
+            truncated = True
             break
-        cells: list[Cell] = []
-        alive = False
-        for i in range(m):
-            if dead[i]:
-                cells.append(None)
-                continue
-            nxt = gamma(levels[-1][i], base)
-            if nxt.bits == 0 or nxt.bits in seen[i]:
-                dead[i] = True
-                cells.append(None)
-            else:
-                seen[i].add(nxt.bits)
-                cells.append(nxt)
-                alive = True
+        nxt = tuple(_ring_sum_of(r, matrix) for r in rows[-1])
+        for i, r in enumerate(nxt):
+            if (alive >> i) & 1:
+                if r in seen[i]:
+                    alive ^= 1 << i
+                else:
+                    seen[i].add(r)
         if not alive:
             break
-        levels.append(tuple(cells))
-        sig = tuple(0 if c is None else c.bits for c in cells)
-        if sig in signatures:
-            break
-        signatures.add(sig)
-    return Spectrum(kind, g, base, tuple(levels), truncated)
+        rows.append(nxt)
+        alives.append(alive)
+    return Spectrum(kind, g, tuple(rows), tuple(alives), truncated)
 
 
 def build_cut_spectrum(g: Graph, level_cap: int | None = None) -> Spectrum:
@@ -222,21 +219,19 @@ def build_cycle_spectrum(
 
 
 def spectrum_edge_weights(spec: Spectrum) -> LevelWeights:
-    """Column weights: xi_l(e) counts the level-l cells containing e."""
+    """Column weights: xi_l(e) counts the level-l cells containing e.
+
+    M^(l+1) is symmetric, so xi_l(e) is the popcount of row e ANDed with
+    the mask of the rows alive at level l.
+    """
     m = spec.graph.m
     per_level = []
-    for level in spec.levels:
-        xi = [0] * m
-        cell_sizes = 0
-        for cell in level:
-            if cell is None:
-                continue
-            cell_sizes += len(cell)
-            for e in cell:
-                xi[e - 1] += 1
-        # double-count identity: total cell size equals total column weight
-        assert cell_sizes == sum(xi)
-        per_level.append(tuple(xi))
+    for rows, alive in zip(spec.rows, spec.alive):
+        xi = tuple((r & alive).bit_count() for r in rows)
+        # double-count identity: total live cell size equals total column
+        # weight, which holds when the table is symmetric
+        assert sum(r.bit_count() for i, r in enumerate(rows) if (alive >> i) & 1) == sum(xi)
+        per_level.append(xi)
     total = tuple(sum(level[i] for level in per_level) for i in range(m))
     return LevelWeights(tuple(per_level), total)
 
@@ -281,7 +276,7 @@ def spectrum_invariant(spec: Spectrum) -> SpectrumInvariant:
     zeta = vertex_weights(spec, xi)
     per_level = tuple(
         Invariant.from_weights(xi.per_level[l], zeta.per_level[l])
-        for l in range(len(spec.levels))
+        for l in range(len(spec.rows))
     )
     total = Invariant.from_weights(xi.total, zeta.total)
     return SpectrumInvariant(

@@ -1,6 +1,10 @@
 """Command line interface: formats, exit codes, notes and warnings."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -278,7 +282,45 @@ class TestLoading:
         r = runner.invoke(main, ["invariant", path])
         assert r.exit_code == 0
 
+    def test_missing_file_exits_2(self, runner, tmp_path):
+        path = str(tmp_path / "nope.grf")
+        r = runner.invoke(main, ["invariant", path])
+        assert r.exit_code == 2
+        assert r.stderr.startswith(f"error: cannot read {path}: ")
+
+    def test_missing_file_is_no_compare_verdict(self, runner, tmp_path):
+        path = str(tmp_path / "nope.grf")
+        r = runner.invoke(main, ["compare", path, path])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"error: cannot read {path}: ")
+
+    def test_directory_exits_2(self, runner, tmp_path):
+        r = runner.invoke(main, ["orbits", str(tmp_path)])
+        assert r.exit_code == 2
+        assert r.stderr.startswith("error: cannot read ")
+
+    def test_non_utf8_file_exits_2_without_traceback(self, runner, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_bytes(b"1 2\n2 3\n1 3\n\xff\xfe\n")
+        r = runner.invoke(main, ["linegraph", str(p)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.stderr.startswith(f"error: cannot read {p}: ")
+        assert "Traceback" not in r.output
+
     def test_machine_output_is_sorted_and_indented(self, runner, tmp_path):
         path = grf_file(tmp_path, "g.grf", fx.k_n(4))
         r = runner.invoke(main, ["orbits", path, "--format", "machine"])
         assert r.stdout.startswith('{\n  "groups"')
+
+    def test_in_process_machine_output_keeps_no_stream_alive(self, tmp_path):
+        path = grf_file(tmp_path, "g.grf", fx.k_n(4))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main.main(["orbits", path, "--format", "machine"], standalone_mode=False)
+        assert out.getvalue().startswith('{\n  "groups"')
+        stream = weakref.ref(out)
+        del out
+        gc.collect()
+        assert stream() is None

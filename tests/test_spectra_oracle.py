@@ -1,0 +1,102 @@
+"""Integer-row spectra against the per-cell reference in spectra_reference."""
+
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgespec import (
+    base_edge_cuts,
+    base_edge_cycles,
+    build_cut_spectrum,
+    build_cycle_spectrum,
+    graph_from_edges,
+    spectrum_edge_weights,
+    spectrum_invariant,
+    vertex_weights,
+)
+from edgespec.spectra import cut_spectrum_unchecked
+
+import fixtures as fx
+import spectra_reference as ref
+
+CUT_CAPS = (None, 1, 2, 3)
+CYCLE_CAPS = (1, 2, None)
+
+
+def random_tree(rng: Random):
+    n = rng.randint(2, 14)
+    edges = sorted((rng.randint(1, v - 1), v) for v in range(2, n + 1))
+    return graph_from_edges(n, edges)
+
+
+def assert_matches_reference(spec, base, cap):
+    g = spec.graph
+    levels, truncated, level_count = ref.build(g, base, cap)
+    assert spec.levels == levels
+    assert spec.truncated == truncated
+    assert spec.level_count == level_count
+    xi = spectrum_edge_weights(spec)
+    ref_xi, ref_xi_total = ref.edge_weights(g.m, levels)
+    assert (xi.per_level, xi.total) == (ref_xi, ref_xi_total)
+    zeta = vertex_weights(spec, xi)
+    assert (zeta.per_level, zeta.total) == ref.vertex_weights(g, ref_xi)
+    assert spectrum_invariant(spec) == ref.invariant(
+        spec.kind, g, levels, truncated, level_count
+    )
+
+
+def check_graph(g):
+    cuts = base_edge_cuts(g)
+    for cap in CUT_CAPS:
+        assert_matches_reference(build_cut_spectrum(g, cap), cuts, cap)
+    cycles = base_edge_cycles(g)
+    for cap in CYCLE_CAPS:
+        assert_matches_reference(build_cycle_spectrum(g, cap), cycles, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_random_graphs_match_reference(seed):
+    check_graph(fx.random_nonseparable(Random(seed)))
+
+
+@pytest.mark.parametrize("name", sorted(fx.NONSEPARABLE_FIXTURES))
+def test_fixtures_match_reference(name):
+    check_graph(fx.NONSEPARABLE_FIXTURES[name]())
+
+
+@pytest.mark.parametrize("n, seed", [(16, 1), (18, 2), (20, 4), (20, 6), (22, 1)])
+def test_deep_cubic_spectra_match_reference(n, seed):
+    g = fx.random_cubic(Random(seed), n)
+    assert_matches_reference(build_cut_spectrum(g), base_edge_cuts(g), None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_random_trees_match_reference(seed):
+    t = random_tree(Random(seed))
+    for cap in CUT_CAPS:
+        assert_matches_reference(cut_spectrum_unchecked(t, cap), base_edge_cuts(t), cap)
+
+
+@pytest.mark.parametrize("tree", [fx.spider_tree, fx.caterpillar_tree])
+def test_fixture_trees_match_reference(tree):
+    t = tree()
+    assert_matches_reference(cut_spectrum_unchecked(t), base_edge_cuts(t), None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_base_tables_are_symmetric_with_empty_diagonal(seed):
+    g = fx.random_nonseparable(Random(seed))
+    assert ref.is_symmetric_with_empty_diagonal(base_edge_cuts(g))
+    assert ref.is_symmetric_with_empty_diagonal(base_edge_cycles(g))
+
+
+@pytest.mark.parametrize("name", sorted(fx.NONSEPARABLE_FIXTURES))
+def test_fixture_base_tables_are_symmetric_with_empty_diagonal(name):
+    g = fx.NONSEPARABLE_FIXTURES[name]()
+    assert ref.is_symmetric_with_empty_diagonal(base_edge_cuts(g))
+    assert ref.is_symmetric_with_empty_diagonal(base_edge_cycles(g))
