@@ -60,7 +60,7 @@ def _effective_levels(g: Graph, max_levels: int | None) -> int | None:
     if max_levels is not None:
         return max_levels
     if g.m > LEVEL_CAP_THRESHOLD:
-        click.echo(
+        _echo(
             f"note: {g.m} edges exceed {LEVEL_CAP_THRESHOLD}, "
             "capping the cut spectrum at 2 levels (override with --max-levels)",
             err=True,
@@ -71,7 +71,7 @@ def _effective_levels(g: Graph, max_levels: int | None) -> int | None:
 
 def _warn_line(g: Graph) -> None:
     if g.m > LINE_WARN_EDGES:
-        click.echo(
+        _echo(
             f"warning: line invariant over {g.m} edges may be slow",
             err=True,
         )
@@ -91,26 +91,31 @@ def _spectrum_inv_dict(si: SpectrumInvariant) -> dict:
     }
 
 
+def _echo(text: str, err: bool = False) -> None:
+    # click.echo's default stream comes from a cache that never frees a
+    # redirected sys.stdout or sys.stderr; get_text_stream applies the same
+    # encoding fix-up to the current stream without caching it
+    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"))
+
+
 def _emit_machine(payload: dict) -> None:
-    # an explicit file bypasses click's stream cache, which never frees a
-    # redirected sys.stdout; the JSON text is ASCII either way
-    click.echo(json.dumps(payload, indent=2, sort_keys=True), file=sys.stdout)
+    _echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _print_integral(g: Graph, inv: IntegralInvariant) -> None:
-    click.echo(f"vertices: {g.n}")
-    click.echo(f"edges: {g.m}")
+    _echo(f"vertices: {g.n}")
+    _echo(f"edges: {g.m}")
     if inv.cycle is None:
-        click.echo(f"tree levels: {inv.cut.level_count}")
-        click.echo(f"IT: {inv.cut.total}")
+        _echo(f"tree levels: {inv.cut.level_count}")
+        _echo(f"IT: {inv.cut.total}")
         return
-    click.echo(f"cut levels: {inv.cut.level_count}")
-    click.echo(f"IS: {inv.cut.total}")
+    _echo(f"cut levels: {inv.cut.level_count}")
+    _echo(f"IS: {inv.cut.total}")
     for l, lv in enumerate(inv.cut.per_level):
-        click.echo(f"IS[{l}]: {lv}")
-    click.echo(f"IC: {inv.cycle.total}")
+        _echo(f"IS[{l}]: {lv}")
+    _echo(f"IC: {inv.cycle.total}")
     if inv.line is not None:
-        click.echo(f"IL: {inv.line}")
+        _echo(f"IL: {inv.line}")
 
 
 @click.group()
@@ -119,7 +124,7 @@ def main() -> None:
 
 
 def _fail(exc: EdgespecError) -> None:
-    click.echo(f"error: {exc}", err=True)
+    _echo(f"error: {exc}", err=True)
     sys.exit(2)
 
 
@@ -204,12 +209,12 @@ def compare(
         }
         _emit_machine(payload)
     else:
-        click.echo(f"verdict: {result.verdict.value}")
+        _echo(f"verdict: {result.verdict.value}")
         if result.witness:
-            click.echo(f"witness: {result.witness}")
+            _echo(f"witness: {result.witness}")
         if result.bijection:
             pairs = " ".join(f"{k}->{v}" for k, v in result.bijection.items())
-            click.echo(f"bijection: {pairs}")
+            _echo(f"bijection: {pairs}")
     if result.verdict is Verdict.NOT_ISOMORPHIC:
         sys.exit(1)
 
@@ -240,13 +245,13 @@ def cycles(path: str, fmt: str) -> None:
         }
         _emit_machine(payload)
         return
-    click.echo(f"isometric cycles: {len(found)}")
-    click.echo("edges:")
+    _echo(f"isometric cycles: {len(found)}")
+    _echo("edges:")
     for i, c in enumerate(found, start=1):
-        click.echo(f"cycle {i}: " + " ".join(str(e) for e in c.ids()))
-    click.echo("vertices:")
+        _echo(f"cycle {i}: " + " ".join(str(e) for e in c.ids()))
+    _echo("vertices:")
     for i, seq in enumerate(ordered, start=1):
-        click.echo(f"cycle {i}: " + " ".join(str(v) for v in seq))
+        _echo(f"cycle {i}: " + " ".join(str(v) for v in seq))
 
 
 @main.command()
@@ -293,20 +298,20 @@ def spectrum(path: str, kind: str, max_levels: int | None, fmt: str) -> None:
         }
         _emit_machine(payload)
         return
-    click.echo(f"{kind} spectrum: {spec.level_count} levels")
+    _echo(f"{kind} spectrum: {spec.level_count} levels")
     if spec.truncated:
-        click.echo("(truncated at the level cap)")
+        _echo("(truncated at the level cap)")
     for l, level in enumerate(spec.levels):
-        click.echo(f"level {l}:")
+        _echo(f"level {l}:")
         for e in g.edge_ids:
             cell = level[e - 1]
             body = "-" if cell is None else " ".join(str(i) for i in cell.ids())
-            click.echo(f"  e{e}: {body}")
-        click.echo("  xi:   " + " ".join(str(x) for x in xi.per_level[l]))
-        click.echo("  zeta: " + " ".join(str(z) for z in zeta.per_level[l]))
-    click.echo("totals:")
-    click.echo("  xi:   " + " ".join(str(x) for x in xi.total))
-    click.echo("  zeta: " + " ".join(str(z) for z in zeta.total))
+            _echo(f"  e{e}: {body}")
+        _echo("  xi:   " + " ".join(str(x) for x in xi.per_level[l]))
+        _echo("  zeta: " + " ".join(str(z) for z in zeta.per_level[l]))
+    _echo("totals:")
+    _echo("  xi:   " + " ".join(str(x) for x in xi.total))
+    _echo("  zeta: " + " ".join(str(z) for z in zeta.total))
 
 
 @main.command()
@@ -333,7 +338,7 @@ def orbits(path: str, max_levels: int | None, with_line_invariant: bool, fmt: st
         _emit_machine({"groups": [list(grp) for grp in part.groups]})
         return
     for i, grp in enumerate(part.groups, start=1):
-        click.echo(f"orbit {i}: " + " ".join(str(v) for v in grp))
+        _echo(f"orbit {i}: " + " ".join(str(v) for v in grp))
 
 
 @main.command()
@@ -367,12 +372,12 @@ def linegraph(path: str, fmt: str) -> None:
         }
         _emit_machine(payload)
         return
-    click.echo(f"line graph: {lg.graph.n} vertices, {lg.graph.m} edges")
-    click.echo(f"isometric cycles: {triples + images + doubles}")
-    click.echo(f"vertex triples: {triples}")
-    click.echo(f"cycle images: {images}")
-    click.echo(f"double cycles: {doubles}")
-    click.echo(f"IL: {inv}")
+    _echo(f"line graph: {lg.graph.n} vertices, {lg.graph.m} edges")
+    _echo(f"isometric cycles: {triples + images + doubles}")
+    _echo(f"vertex triples: {triples}")
+    _echo(f"cycle images: {images}")
+    _echo(f"double cycles: {doubles}")
+    _echo(f"IL: {inv}")
 
 
 @main.command()
@@ -393,10 +398,10 @@ def tree(path: str, fmt: str) -> None:
     if fmt == "machine":
         _emit_machine({"n": g.n, "m": g.m, "invariant": _spectrum_inv_dict(inv)})
         return
-    click.echo(f"vertices: {g.n}")
-    click.echo(f"edges: {g.m}")
-    click.echo(f"tree levels: {inv.level_count}")
-    click.echo(f"IT: {inv.total}")
+    _echo(f"vertices: {g.n}")
+    _echo(f"edges: {g.m}")
+    _echo(f"tree levels: {inv.level_count}")
+    _echo(f"IT: {inv.total}")
 
 
 if __name__ == "__main__":

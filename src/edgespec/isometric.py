@@ -1,16 +1,14 @@
-"""Isometric cycle enumeration by wave labeling.
+"""Isometric cycle enumeration, and the per-edge wave labeling diagnostic.
 
 A cycle is isometric when the distance between any two of its vertices
-measured along the cycle equals their distance in the whole graph.  Two
-wave constructions appear here.  Per edge (s,t), the graph is labeled by
-wave depth from t with s blocked, and every strictly depth-descending
-route from a neighbor of s down to t closes a candidate cycle through the
-edge; candidates confirmed by the reverse labeling are isometric.  The
-full enumeration instead anchors at the antipode: every isometric cycle
-splits at its farthest point (a vertex against an edge when the length is
-odd, a vertex pair when it is even) into two geodesics, which descend
-strictly through an ordinary distance labeling, so pairing the descending
-routes of every anchor and keeping the isometric survivors is complete.
+measured along the cycle equals their distance in the whole graph.  The
+enumeration anchors every cycle at its smallest vertex and walks both of
+its halves down from the opposite vertex or edge together, keeping a step
+only when the new vertex pairs across the halves are at cycle distance.
+The per-edge diagnostic labels the graph by wave depth from one end of an
+edge with the other end blocked; every strictly depth-descending route
+back closes a candidate cycle through the edge, and candidates confirmed
+by the reverse labeling are isometric, but depth ties can hide cycles.
 """
 
 from __future__ import annotations
@@ -104,93 +102,74 @@ def cycles_through_edge(g: Graph, e: int, limit: int = 10**6) -> tuple[EdgeSet, 
     return tuple(sorted(sets, key=lambda c: c.ids()))
 
 
-def _geodesic_counts(g: Graph, dist_w: tuple[int, ...]) -> list[int]:
-    # number of geodesics from each vertex down to the labeling root
-    cnt = [0] * (g.n + 1)
-    for v in sorted(g.vertices, key=lambda v: dist_w[v]):
-        d = dist_w[v]
-        if d == 0:
-            cnt[v] = 1
-        elif d > 0:
-            cnt[v] = sum(cnt[y] for y in g.adjacency(v) if dist_w[y] == d - 1)
-    return cnt
-
-
-def _geodesics(g: Graph, start: int, dist_w: tuple[int, ...]) -> list[tuple[frozenset, int]]:
-    # every geodesic from start down to the labeling root, as (vertex set, edge bits)
-    out: list[tuple[frozenset, int]] = []
-    stack = [(start, frozenset([start]), 0)]
-    while stack:
-        v, verts, bits = stack.pop()
-        d = dist_w[v]
-        if d == 0:
-            out.append((verts, bits))
-            continue
-        for y in g.adjacency(v):
-            if dist_w[y] == d - 1:
-                stack.append((y, verts | {y}, bits | 1 << (g.edge_id(v, y) - 1)))
-    return out
-
-
 def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     """All isometric cycles, ordered lexicographically by edge ids.
 
-    For each vertex w the graph is labeled by distance from w, where every
-    geodesic toward w is a strictly descending route.  An odd isometric
-    cycle is two such routes from the endpoints of its antipodal edge,
-    disjoint except at w; an even one is two routes from its antipodal
-    vertex, disjoint except at the ends.  Joined route pairs that pass the
-    isometry check are exactly the isometric cycles."""
+    Every isometric cycle has one smallest vertex w.  Relative to w it has
+    one top at distance k from w: the vertex opposite w when its length is
+    2k (off = 0), the edge opposite w when its length is 2k+1 (off = 1).
+    Its halves are geodesics from the top down to w, so for each anchor w
+    and each top the search walks two routes a and b down one distance
+    level per step, through vertices above w.  Two vertices on one such
+    route are at geodesic distance, since their levels differ by their
+    distance along it, so a joined pair of routes is an isometric cycle
+    exactly when every cross pair (a_i, b_j) is at its distance along the
+    cycle, min(i+j+off, L-i-j-off); each step keeps a candidate pair only
+    when its new cross pairs are.  Even tops take a_1 < b_1, so each cycle
+    is emitted once.  ``limit`` caps the candidate route pairs tried over
+    the whole call and raises CandidateOverflow beyond it."""
     dist = all_pairs_distances(g)
-    verdicts: dict[int, bool] = {}
+    # rings[off][k][s]: distance along a cycle of length 2k + off between
+    # a_i and b_j with i + j = s
+    diameter = max(map(max, dist))
+    rings = [
+        [tuple(min(s + off, 2 * k - s) for s in range(2 * k + 1))
+         for k in range(diameter + 1)]
+        for off in (0, 1)
+    ]
+    found: list[int] = []
+    tried = 0
     for w in g.vertices:
         dw = dist[w]
-        cnt = _geodesic_counts(g, dw)
-        routes: dict[int, list[tuple[frozenset, int]]] = {}
-
-        def routes_from(v: int) -> list[tuple[frozenset, int]]:
-            if v not in routes:
-                routes[v] = _geodesics(g, v, dw)
-            return routes[v]
-
-        for e in g.edge_ids:
-            u, v = g.edge_endpoints(e)
-            if dw[u] != dw[v] or dw[u] < 1:
-                continue
-            total = cnt[u] * cnt[v]
-            if total > limit:
-                raise CandidateOverflow(
-                    f"vertex {w}: {total} geodesic pairs exceed limit {limit}"
-                )
-            top = 1 << (e - 1)
-            only_w = frozenset([w])
-            for pv, pb in routes_from(u):
-                for qv, qb in routes_from(v):
-                    if pv & qv != only_w:
+        down = {
+            v: [y for y in g.adjacency(v) if y >= w and dw[y] == dw[v] - 1]
+            for v in range(w + 1, g.n + 1)
+        }
+        tops = [(x, x, 0, rings[0][dw[x]]) for x in range(w + 1, g.n + 1) if dw[x] >= 2]
+        tops += [
+            (u, v, 1 << (e - 1), rings[1][dw[u]])
+            for e, (u, v) in enumerate(g.edges, start=1)
+            if u > w and dw[u] == dw[v]
+        ]
+        for p, q, bits, ring in tops:
+            stack = [((p,), (q,), bits)]
+            while stack:
+                a, b, bits = stack.pop()
+                t = len(a)
+                if a[-1] == w:
+                    found.append(bits)
+                    continue
+                for x in down[a[-1]]:
+                    dx = dist[x]
+                    if any(dx[y] != ring[t + j] for j, y in enumerate(b)):
                         continue
-                    bits = pb | qb | top
-                    if bits not in verdicts:
-                        cand = EdgeSet.from_bits(g.m, bits)
-                        verdicts[bits] = is_isometric(g, cand, dist)
-        for x in g.vertices:
-            if dw[x] < 2:
-                continue
-            total = cnt[x] * cnt[x]
-            if total > limit:
-                raise CandidateOverflow(
-                    f"vertex {w}: {total} geodesic pairs exceed limit {limit}"
-                )
-            ends = frozenset([w, x])
-            pairs = routes_from(x)
-            for i, (pv, pb) in enumerate(pairs):
-                for qv, qb in pairs[i + 1:]:
-                    if pv & qv != ends:
-                        continue
-                    bits = pb | qb
-                    if bits not in verdicts:
-                        cand = EdgeSet.from_bits(g.m, bits)
-                        verdicts[bits] = is_isometric(g, cand, dist)
-    sets = [EdgeSet.from_bits(g.m, bits) for bits, ok in verdicts.items() if ok]
+                    for y in down[b[-1]]:
+                        if p == q and t == 1 and y <= x:  # even top: a_1 < b_1
+                            continue
+                        tried += 1
+                        if tried > limit:
+                            raise CandidateOverflow(
+                                f"{tried} route pairs exceed limit {limit}"
+                            )
+                        dy = dist[y]
+                        if dx[y] != ring[2 * t] or any(
+                            dy[v] != ring[t + j] for j, v in enumerate(a)
+                        ):
+                            continue
+                        bits_xy = bits | 1 << (g.edge_id(a[-1], x) - 1)
+                        bits_xy |= 1 << (g.edge_id(b[-1], y) - 1)
+                        stack.append((a + (x,), b + (y,), bits_xy))
+    sets = [EdgeSet.from_bits(g.m, bits) for bits in found]
     return tuple(sorted(sets, key=lambda c: c.ids()))
 
 

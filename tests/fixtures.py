@@ -965,6 +965,41 @@ def wheel6() -> Graph:
 WHEEL6_DIST_V1 = (0, 1, 2, 2, 2, 1, 1)
 
 
+# --- grids and hypercubes ------------------------------------------------------
+# grid cell (i, j) is vertex i*cols + j + 1; the isometric cycles of a grid are
+# exactly its unit squares
+
+
+@cached
+def grid(rows: int, cols: int) -> Graph:
+    def at(i, j):
+        return i * cols + j + 1
+
+    edges = [(at(i, j), at(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(at(i, j), at(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return graph_from_edges(rows * cols, sorted(edges))
+
+
+def grid_squares(rows: int, cols: int) -> list[tuple[tuple[int, int], ...]]:
+    """Edges of each unit square of grid(rows, cols), as vertex pairs."""
+    out = []
+    for i in range(rows - 1):
+        for j in range(cols - 1):
+            a, b = i * cols + j + 1, i * cols + j + 2
+            c, d = a + cols, b + cols
+            out.append(((a, b), (a, c), (b, d), (c, d)))
+    return out
+
+
+@cached
+def hypercube(d: int) -> Graph:
+    # vertex v + 1 is the bit string v; each edge sets one bit
+    edges = [
+        (v + 1, (v | 1 << k) + 1) for v in range(1 << d) for k in range(d) if not v >> k & 1
+    ]
+    return graph_from_edges(1 << d, sorted(edges))
+
+
 # --- 8 vertices, 11 edges: a wave anchored at e2 misses a cycle --------------
 # the backward labeling from e2 = (1,5) reaches vertices 3 and 8 at the same
 # depth, so the 5-cycle 1-2-8-3-5 has no strictly descending route there

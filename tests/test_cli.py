@@ -167,6 +167,12 @@ class TestCycles:
         assert payload["count"] == 3
         assert payload["cycles"][0] == {"edges": [1, 3, 4], "vertices": [1, 2, 4]}
 
+    def test_grid_10x10(self, runner, tmp_path):
+        path = grf_file(tmp_path, "grid.grf", fx.grid(10, 10))
+        r = runner.invoke(main, ["cycles", path, "--format", "machine"])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["count"] == 81
+
 
 class TestSpectrum:
     def test_human_cut(self, runner, tmp_path):
@@ -314,12 +320,22 @@ class TestLoading:
         r = runner.invoke(main, ["orbits", path, "--format", "machine"])
         assert r.stdout.startswith('{\n  "groups"')
 
-    def test_in_process_machine_output_keeps_no_stream_alive(self, tmp_path):
-        path = grf_file(tmp_path, "g.grf", fx.k_n(4))
+    @pytest.mark.parametrize(
+        "args, redirect, start",
+        [
+            (["orbits", "g.grf", "--format", "machine"], contextlib.redirect_stdout, '{\n  "groups"'),
+            (["invariant", "g.grf"], contextlib.redirect_stdout, "vertices: 4\n"),
+            (["invariant", "nope.grf"], contextlib.redirect_stderr, "error: cannot read "),
+        ],
+        ids=["machine", "human", "error"],
+    )
+    def test_in_process_call_keeps_no_stream_alive(self, tmp_path, args, redirect, start):
+        grf_file(tmp_path, "g.grf", fx.k_n(4))
+        argv = [str(tmp_path / a) if a.endswith(".grf") else a for a in args]
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            main.main(["orbits", path, "--format", "machine"], standalone_mode=False)
-        assert out.getvalue().startswith('{\n  "groups"')
+        with redirect(out), contextlib.suppress(SystemExit):
+            main.main(argv, standalone_mode=False)
+        assert out.getvalue().startswith(start)
         stream = weakref.ref(out)
         del out
         gc.collect()

@@ -182,9 +182,36 @@ class TestIsIsometric:
 
 
 def test_candidate_overflow():
-    # same-side pairs in K(4,4) have four geodesics each, 16 pairs per anchor
+    # from anchor 1 alone, the tops 2, 3 and 4 each try six pairs of common
+    # neighbors at their first step
     with pytest.raises(CandidateOverflow, match="exceed limit 10"):
         isometric_cycles(fx.k44(), limit=10)
+
+
+@pytest.mark.parametrize("name", ["g_5v7e", "g_7v13e", "petersen", "wheel6", "k44"])
+def test_limit_overflows_or_gives_the_whole_result(name):
+    g = fx.NONSEPARABLE_FIXTURES[name]()
+    whole = isometric_cycles(g)
+    passed = False
+    for limit in range(100):
+        try:
+            found = isometric_cycles(g, limit=limit)
+        except CandidateOverflow:
+            assert not passed, f"limit {limit} overflows after a smaller one passed"
+            continue
+        assert found == whole
+        passed = True
+    assert passed
+
+
+def test_grid_10x10_is_its_unit_squares():
+    g = fx.grid(10, 10)
+    squares = sorted(
+        tuple(sorted(g.edge_id(u, v) for u, v in sq)) for sq in fx.grid_squares(10, 10)
+    )
+    found = as_ids(isometric_cycles(g))
+    assert len(found) == 81
+    assert found == tuple(squares)
 
 
 def test_worked_example_counts():
