@@ -5,11 +5,16 @@ endpoints; the base cycle of an edge is the ring sum of the isometric
 cycles through it, corrected by the rim when the edge lies on it.  Either
 base table is a symmetric 0/1 matrix M over GF(2) with an empty diagonal,
 and level l of its spectrum holds the rows of M^(l+1): each row applies
-the gamma transform to its previous value.  A row dies (shows an empty
-cell) the moment its value is zero or repeats an earlier value of the same
-row.  Construction stops when every row is dead or at an explicit level
-cap.  Because every power of M is symmetric, the weight of edge e at a
-level is the popcount of row e masked by the rows still alive there.
+the gamma transform to its previous value.  The build does that step with
+8-bit Four-Russians tables of M (Arlazarov et al. 1970): the base rows go
+in chunks of 8, each chunk gets a 256-entry table of its XOR combinations,
+and a row's next value is the XOR of one table entry per byte of the row,
+ceil(m/8) lookups instead of one XOR per set bit.  A row dies (shows an
+empty cell) the moment its value is zero or repeats an earlier value of
+the same row.  Construction stops when every row is dead or at an
+explicit level cap.  Because every power of M is symmetric, the weight of
+edge e at a level is the popcount of row e masked by the rows still alive
+there.
 """
 
 from __future__ import annotations
@@ -87,6 +92,8 @@ class Spectrum:
         )
 
     def cell(self, level: int, e: int) -> Cell:
+        if not 0 <= level < len(self.rows):
+            raise VertexOutOfRange(f"level {level} outside 0..{len(self.rows) - 1}")
         if not 1 <= e <= self.graph.m:
             raise VertexOutOfRange(f"edge id {e} outside 1..{self.graph.m}")
         if not (self.alive[level] >> (e - 1)) & 1:
@@ -132,6 +139,27 @@ def gamma_w(g: Graph, s: EdgeSet) -> EdgeSet:
     return gamma(s, base_edge_cuts(g))
 
 
+def _byte_tables(matrix: Sequence[int]) -> tuple[list[int], ...]:
+    """Four-Russians tables: table c, entry x is the XOR of the rows
+    matrix[8c + i] over the set bits i of x."""
+    tables = []
+    for c in range(0, len(matrix), 8):
+        t = [0]
+        for b in matrix[c : c + 8]:
+            t += [x ^ b for x in t]
+        tables.append(t)
+    return tuple(tables)
+
+
+def _table_sum(bits: int, tables: Sequence[list[int]]) -> int:
+    """Ring sum of the base rows named by bits, one lookup per byte of bits;
+    byte c of bits is (bits >> 8c) & 255 and indexes tables[c]."""
+    acc = 0
+    for t, byte in zip(tables, bits.to_bytes(len(tables), "little")):
+        acc ^= t[byte]
+    return acc
+
+
 def _build(kind: str, g: Graph, base: tuple[EdgeSet, ...], level_cap: int | None) -> Spectrum:
     if level_cap is not None and level_cap < 1:
         raise VertexOutOfRange(f"level cap {level_cap} must be at least 1")
@@ -142,11 +170,14 @@ def _build(kind: str, g: Graph, base: tuple[EdgeSet, ...], level_cap: int | None
     # a row dies on reaching zero or any value it has held before
     seen = [{0, r} for r in matrix]
     truncated = False
+    tables = None
     while alive:
         if level_cap is not None and len(rows) >= level_cap:
             truncated = True
             break
-        nxt = tuple(_ring_sum_of(r, matrix) for r in rows[-1])
+        if tables is None:
+            tables = _byte_tables(matrix)
+        nxt = tuple(_table_sum(r, tables) for r in rows[-1])
         for i, r in enumerate(nxt):
             if (alive >> i) & 1:
                 if r in seen[i]:
@@ -224,7 +255,6 @@ def spectrum_edge_weights(spec: Spectrum) -> LevelWeights:
     M^(l+1) is symmetric, so xi_l(e) is the popcount of row e ANDed with
     the mask of the rows alive at level l.
     """
-    m = spec.graph.m
     per_level = []
     for rows, alive in zip(spec.rows, spec.alive):
         xi = tuple((r & alive).bit_count() for r in rows)
@@ -232,8 +262,7 @@ def spectrum_edge_weights(spec: Spectrum) -> LevelWeights:
         # weight, which holds when the table is symmetric
         assert sum(r.bit_count() for i, r in enumerate(rows) if (alive >> i) & 1) == sum(xi)
         per_level.append(xi)
-    total = tuple(sum(level[i] for level in per_level) for i in range(m))
-    return LevelWeights(tuple(per_level), total)
+    return LevelWeights(tuple(per_level), tuple(map(sum, zip(*per_level))))
 
 
 def vertex_weights(spec: Spectrum, edge_weights: LevelWeights | None = None) -> LevelWeights:
@@ -243,14 +272,12 @@ def vertex_weights(spec: Spectrum, edge_weights: LevelWeights | None = None) -> 
     g = spec.graph
     per_level = []
     for xi in edge_weights.per_level:
-        zeta = tuple(
-            sum(xi[e - 1] for e in g.incident_edges(v)) for v in g.vertices
-        )
-        per_level.append(zeta)
-    total = tuple(
-        sum(level[i] for level in per_level) for i in range(g.n)
-    )
-    return LevelWeights(tuple(per_level), total)
+        zeta = [0] * (g.n + 1)
+        for (u, v), x in zip(g.edges, xi):
+            zeta[u] += x
+            zeta[v] += x
+        per_level.append(tuple(zeta[1:]))
+    return LevelWeights(tuple(per_level), tuple(map(sum, zip(*per_level))))
 
 
 @dataclass(frozen=True)

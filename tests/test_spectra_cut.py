@@ -15,6 +15,7 @@ from edgespec import (
     spectrum_invariant,
     vertex_weights,
 )
+from edgespec import spectra
 from edgespec.spectra import cut_spectrum_unchecked
 
 import fixtures as fx
@@ -94,6 +95,13 @@ class TestWorkedExample:
             spec.cell(0, 12)
         with pytest.raises(VertexOutOfRange):
             spec.row(0)
+
+    def test_cell_rejects_levels_outside_the_table(self):
+        spec = build_cut_spectrum(fx.g_6v11e())
+        with pytest.raises(VertexOutOfRange, match=r"level -1 outside 0\.\.3"):
+            spec.cell(-1, 1)
+        with pytest.raises(VertexOutOfRange, match=r"level 4 outside 0\.\.3"):
+            spec.cell(len(spec.rows), 1)
 
     def test_edge_weights(self):
         xi = spectrum_edge_weights(build_cut_spectrum(fx.g_6v11e()))
@@ -214,6 +222,15 @@ class TestLevelCap:
         spec = build_cut_spectrum(fx.g_6v11e(), level_cap=9)
         assert not spec.truncated
         assert len(spec.levels) == 4
+
+    def test_base_level_cap_builds_no_tables(self, monkeypatch):
+        def no_tables(matrix):
+            raise AssertionError("gamma tables built for a one-level spectrum")
+
+        monkeypatch.setattr(spectra, "_byte_tables", no_tables)
+        spec = build_cut_spectrum(fx.g_6v11e(), level_cap=1)
+        assert spec.truncated
+        assert len(spec.rows) == 1
 
     def test_zero_cap_rejected(self):
         with pytest.raises(VertexOutOfRange, match="level cap 0"):

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgespec import (
+    EdgeSet,
     base_edge_cuts,
     base_edge_cycles,
     build_cut_spectrum,
     build_cycle_spectrum,
+    gamma,
     graph_from_edges,
     spectrum_edge_weights,
     spectrum_invariant,
@@ -29,6 +31,16 @@ def random_tree(rng: Random):
     n = rng.randint(2, 14)
     edges = sorted((rng.randint(1, v - 1), v) for v in range(2, n + 1))
     return graph_from_edges(n, edges)
+
+
+def cycle_with_chords(n, m, seed):
+    """Nonseparable graph with exactly m edges: the cycle 1..n plus m - n
+    chords chosen at random."""
+    cycle = [(v, v + 1) for v in range(1, n)] + [(1, n)]
+    chords = [(u, v) for u in range(1, n + 1) for v in range(u + 2, n + 1)]
+    chords.remove((1, n))
+    Random(seed).shuffle(chords)
+    return graph_from_edges(n, sorted(cycle + chords[: m - n]))
 
 
 def assert_matches_reference(spec, base, cap):
@@ -71,6 +83,42 @@ def test_fixtures_match_reference(name):
 def test_deep_cubic_spectra_match_reference(n, seed):
     g = fx.random_cubic(Random(seed), n)
     assert_matches_reference(build_cut_spectrum(g), base_edge_cuts(g), None)
+
+
+# the gamma step reads rows a byte at a time, so edge counts just below,
+# at and just above a multiple of 8 exercise a partial last byte table
+@pytest.mark.parametrize("n, m", [(5, 7), (6, 8), (6, 9), (10, 15), (10, 16), (11, 17)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_byte_boundary_graphs_match_reference(n, m, seed):
+    g = cycle_with_chords(n, m, seed)
+    assert g.m == m
+    check_graph(g)
+
+
+def test_single_edge_matches_reference():
+    k2 = fx.k2()
+    for cap in CUT_CAPS:
+        assert_matches_reference(cut_spectrum_unchecked(k2, cap), base_edge_cuts(k2), cap)
+
+
+def test_cubic_64_capped_matches_reference():
+    g = fx.random_cubic(Random(3), 64)
+    assert g.m == 96
+    assert_matches_reference(build_cut_spectrum(g, 100), base_edge_cuts(g), 100)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_table_step_agrees_with_public_gamma(seed):
+    rng = Random(seed)
+    g = fx.random_nonseparable(rng, 4, 14) if seed % 2 else fx.random_cubic(rng, 16)
+    for base, spec in (
+        (base_edge_cuts(g), build_cut_spectrum(g)),
+        (base_edge_cycles(g), build_cycle_spectrum(g, None)),
+    ):
+        for prev, nxt in zip(spec.rows, spec.rows[1:]):
+            for r, r_next in zip(prev, nxt):
+                assert gamma(EdgeSet.from_bits(g.m, r), base).bits == r_next
 
 
 @settings(max_examples=30, deadline=None)
