@@ -3,7 +3,7 @@
 Reads graphs from offset-format files (.grf) or plain edge lists, prints
 invariants, spectra, cycles, orbit candidates, and comparison verdicts in
 a human layout or a machine JSON layout.  Exit code 1 flags a not
-isomorphic verdict; malformed or unreadable input exits 2.
+isomorphic verdict; any library error, such as unreadable input, exits 2.
 """
 
 from __future__ import annotations
@@ -56,13 +56,13 @@ def _load(path: str) -> Graph:
     return load_graph(text)
 
 
-def _effective_levels(g: Graph, max_levels: int | None) -> int | None:
+def _effective_levels(g: Graph, max_levels: int | None, kind: str = "cut") -> int | None:
     if max_levels is not None:
         return max_levels
     if g.m > LEVEL_CAP_THRESHOLD:
         _echo(
             f"note: {g.m} edges exceed {LEVEL_CAP_THRESHOLD}, "
-            "capping the cut spectrum at 2 levels (override with --max-levels)",
+            f"capping the {kind} spectrum at 2 levels (override with --max-levels)",
             err=True,
         )
         return 2
@@ -118,36 +118,42 @@ def _print_integral(g: Graph, inv: IntegralInvariant) -> None:
         _echo(f"IL: {inv.line}")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; any library error a command raises exits 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except EdgespecError as exc:
+            _echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Graph invariants from edge-cut and edge-cycle spectra."""
 
 
-def _fail(exc: EdgespecError) -> None:
-    _echo(f"error: {exc}", err=True)
-    sys.exit(2)
+_format = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["human", "machine"]),
+    default="human",
+)
 
 
 @main.command()
 @click.argument("path")
 @click.option("--max-levels", type=int, default=None, help="Cut spectrum level cap.")
 @click.option("--with-line-invariant", is_flag=True, help="Also compute IL.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "machine"]),
-    default="human",
-)
+@_format
 def invariant(path: str, max_levels: int | None, with_line_invariant: bool, fmt: str) -> None:
     """Integral invariant of one graph."""
-    try:
-        g = _load(path)
-        cap = _effective_levels(g, max_levels)
-        if with_line_invariant:
-            _warn_line(g)
-        inv = integral_invariant(g, max_levels=cap, with_line=with_line_invariant)
-    except EdgespecError as exc:
-        _fail(exc)
+    g = _load(path)
+    cap = _effective_levels(g, max_levels)
+    if with_line_invariant:
+        _warn_line(g)
+    inv = integral_invariant(g, max_levels=cap, with_line=with_line_invariant)
     if fmt == "machine":
         payload = {
             "n": g.n,
@@ -168,12 +174,7 @@ def invariant(path: str, max_levels: int | None, with_line_invariant: bool, fmt:
 @click.option("--max-levels", type=int, default=None, help="Cut spectrum level cap.")
 @click.option("--with-line-invariant", is_flag=True, help="Also compare IL.")
 @click.option("--brute-force-limit", type=int, default=10, show_default=True)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "machine"]),
-    default="human",
-)
+@_format
 def compare(
     path_a: str,
     path_b: str,
@@ -183,22 +184,19 @@ def compare(
     fmt: str,
 ) -> None:
     """Compare two graphs; exit 1 when they are not isomorphic."""
-    try:
-        g = _load(path_a)
-        h = _load(path_b)
-        cap_g = _effective_levels(g, max_levels)
-        if with_line_invariant:
-            _warn_line(g)
-            _warn_line(h)
-        result = compare_graphs(
-            g,
-            h,
-            max_levels=cap_g,
-            with_line=with_line_invariant,
-            brute_force_limit=brute_force_limit,
-        )
-    except EdgespecError as exc:
-        _fail(exc)
+    g = _load(path_a)
+    h = _load(path_b)
+    cap_g = _effective_levels(g, max_levels)
+    if with_line_invariant:
+        _warn_line(g)
+        _warn_line(h)
+    result = compare_graphs(
+        g,
+        h,
+        max_levels=cap_g,
+        with_line=with_line_invariant,
+        brute_force_limit=brute_force_limit,
+    )
     if fmt == "machine":
         payload = {
             "verdict": result.verdict.value,
@@ -221,20 +219,12 @@ def compare(
 
 @main.command()
 @click.argument("path")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "machine"]),
-    default="human",
-)
+@_format
 def cycles(path: str, fmt: str) -> None:
     """Isometric cycles: edge id lines, then vertex id lines."""
-    try:
-        g = _load(path)
-        found = isometric_cycles(g)
-        ordered = [cycle_order(g, c) for c in found]
-    except EdgespecError as exc:
-        _fail(exc)
+    g = _load(path)
+    found = isometric_cycles(g)
+    ordered = [cycle_order(g, c) for c in found]
     if fmt == "machine":
         payload = {
             "count": len(found),
@@ -258,26 +248,18 @@ def cycles(path: str, fmt: str) -> None:
 @click.argument("path")
 @click.option("--kind", type=click.Choice(["cut", "cycle"]), default="cut")
 @click.option("--max-levels", type=int, default=None, help="Level cap.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "machine"]),
-    default="human",
-)
+@_format
 def spectrum(path: str, kind: str, max_levels: int | None, fmt: str) -> None:
     """Full spectrum table with per-level weights."""
-    try:
-        g = _load(path)
-        cap = _effective_levels(g, max_levels)
-        spec = (
-            build_cut_spectrum(g, cap)
-            if kind == "cut"
-            else build_cycle_spectrum(g, cap)
-        )
-        xi = spectrum_edge_weights(spec)
-        zeta = vertex_weights(spec, xi)
-    except EdgespecError as exc:
-        _fail(exc)
+    g = _load(path)
+    cap = _effective_levels(g, max_levels, kind)
+    spec = (
+        build_cut_spectrum(g, cap)
+        if kind == "cut"
+        else build_cycle_spectrum(g, cap)
+    )
+    xi = spectrum_edge_weights(spec)
+    zeta = vertex_weights(spec, xi)
     if fmt == "machine":
         payload = {
             "kind": spec.kind,
@@ -318,22 +300,14 @@ def spectrum(path: str, kind: str, max_levels: int | None, fmt: str) -> None:
 @click.argument("path")
 @click.option("--max-levels", type=int, default=None, help="Cut spectrum level cap.")
 @click.option("--with-line-invariant", is_flag=True, help="Add IL to the signature.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "machine"]),
-    default="human",
-)
+@_format
 def orbits(path: str, max_levels: int | None, with_line_invariant: bool, fmt: str) -> None:
     """Candidate vertex orbits from weight signatures."""
-    try:
-        g = _load(path)
-        cap = _effective_levels(g, max_levels)
-        if with_line_invariant:
-            _warn_line(g)
-        part = vertex_orbit_partition(g, max_levels=cap, with_line=with_line_invariant)
-    except EdgespecError as exc:
-        _fail(exc)
+    g = _load(path)
+    cap = _effective_levels(g, max_levels)
+    if with_line_invariant:
+        _warn_line(g)
+    part = vertex_orbit_partition(g, max_levels=cap, with_line=with_line_invariant)
     if fmt == "machine":
         _emit_machine({"groups": [list(grp) for grp in part.groups]})
         return
@@ -343,22 +317,14 @@ def orbits(path: str, max_levels: int | None, with_line_invariant: bool, fmt: st
 
 @main.command()
 @click.argument("path")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "machine"]),
-    default="human",
-)
+@_format
 def linegraph(path: str, fmt: str) -> None:
     """Line graph size, cycle classification, and the line invariant."""
-    try:
-        g = _load(path)
-        _warn_line(g)
-        lg, cls = classify_line_cycles(g)
-        vertex_sets = (image for _, image in cls.triples + cls.images + cls.doubles)
-        inv = Invariant.from_weights(*line_weights(g, vertex_sets))
-    except EdgespecError as exc:
-        _fail(exc)
+    g = _load(path)
+    _warn_line(g)
+    lg, cls = classify_line_cycles(g)
+    vertex_sets = (image for _, image in cls.triples + cls.images + cls.doubles)
+    inv = Invariant.from_weights(*line_weights(g, vertex_sets))
     triples, images, doubles = cls.counts
     if fmt == "machine":
         payload = {
@@ -382,26 +348,15 @@ def linegraph(path: str, fmt: str) -> None:
 
 @main.command()
 @click.argument("path")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "machine"]),
-    default="human",
-)
+@_format
 def tree(path: str, fmt: str) -> None:
     """Uncapped cut invariant of a tree."""
-    try:
-        g = _load(path)
-        inv = tree_invariant(g)
-    except EdgespecError as exc:
-        _fail(exc)
+    g = _load(path)
+    inv = tree_invariant(g)
     if fmt == "machine":
         _emit_machine({"n": g.n, "m": g.m, "invariant": _spectrum_inv_dict(inv)})
         return
-    _echo(f"vertices: {g.n}")
-    _echo(f"edges: {g.m}")
-    _echo(f"tree levels: {inv.level_count}")
-    _echo(f"IT: {inv.total}")
+    _print_integral(g, IntegralInvariant(inv, None, None))
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
-"""Isometric cycle enumeration, and the per-edge wave labeling diagnostic.
+"""Isometric cycle enumeration, and the per-edge wave labeling.
 
 A cycle is isometric when the distance between any two of its vertices
 measured along the cycle equals their distance in the whole graph.  The
 enumeration anchors every cycle at its smallest vertex and walks both of
 its halves down from the opposite vertex or edge together, keeping a step
 only when the new vertex pairs across the halves are at cycle distance.
-The per-edge diagnostic labels the graph by wave depth from one end of an
-edge with the other end blocked; every strictly depth-descending route
+The per-edge wave labeling labels the graph by wave depth from one end of
+an edge with the other end blocked; every strictly depth-descending route
 back closes a candidate cycle through the edge, and candidates confirmed
 by the reverse labeling are isometric, but depth ties can hide cycles.
+It is what the published line-cycle tables count: the union of the
+confirmed cycles through every edge of a line graph reproduces them.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from random import Random
 import pytest
 
 from edgespec import (
+    Invariant,
     Verdict,
     all_pairs_distances,
     base_edge_cuts,
@@ -21,6 +22,8 @@ from edgespec import (
     build_cycle_spectrum,
     classify_line_cycles,
     compare_graphs,
+    cycle_vertices,
+    cycles_through_edge,
     digital_invariant_IL,
     gamma_w,
     integral_invariant,
@@ -28,6 +31,7 @@ from edgespec import (
     invariant_IS,
     is_isometric,
     isometric_cycles,
+    line_graph,
     relabel,
     rim,
     spectrum_edge_weights,
@@ -43,6 +47,7 @@ from edgespec.gf2 import (
     spanning_tree,
 )
 from edgespec.graphs import central_cut
+from edgespec.linegraph import line_weights
 
 import fixtures as fx
 
@@ -127,6 +132,30 @@ def test_criterion_05_pinned_tables():
     assert sum(cls.counts) == 47 and cls.counts == (24, 11, 12)
     assert str(digital_invariant_IL(fx.g_6v10e_b())) == "(3×6, 7×9) & (18, 3×24, 2×36)"
     assert str(digital_invariant_IL(fx.cubic_plus_edge_10v())) == "(3, 4×4, 4×5, 7×7) & (4×14, 4×16, 2×28)"
+
+
+def _wave_line_images(g):
+    """Vertex sets (source edge ids) of the line cycles the published tables
+    count: the union of the wave-confirmed cycles through every line edge."""
+    lg = line_graph(g).graph
+    found = {c for e in lg.edge_ids for c in cycles_through_edge(lg, e)}
+    return [g.edge_set(cycle_vertices(lg, c)) for c in found]
+
+
+def test_criterion_05_published_tables_from_wave_cycles():
+    """The published values above, reproduced from wave-confirmed line cycles."""
+    g = fx.octahedron()
+    images = _wave_line_images(g)
+    source = set(isometric_cycles(g))
+    triples = [i for i in images if set.intersection(*(set(g.edge_endpoints(e)) for e in i))]
+    cycle_images = [i for i in images if i in source]
+    assert len(images) == 47
+    assert (len(triples), len(cycle_images), len(images) - len(triples) - len(cycle_images)) == (24, 11, 12)
+    for h, published in (
+        (fx.g_6v10e_b(), "(3×6, 7×9) & (18, 3×24, 2×36)"),
+        (fx.cubic_plus_edge_10v(), "(3, 4×4, 4×5, 7×7) & (4×14, 4×16, 2×28)"),
+    ):
+        assert str(Invariant.from_weights(*line_weights(h, _wave_line_images(h)))) == published
 
 
 def test_criterion_06():

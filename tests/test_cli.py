@@ -197,6 +197,14 @@ class TestSpectrum:
         assert lines[0] == "cut spectrum: 2 levels"
         assert lines[1] == "(truncated at the level cap)"
 
+    def test_cycle_kind_note_names_the_cycle_spectrum(self, runner, tmp_path):
+        path = grf_file(tmp_path, "k12.grf", fx.k_n(12))
+        r = runner.invoke(main, ["spectrum", path, "--kind", "cycle", "--format", "machine"])
+        assert r.exit_code == 0
+        assert r.stderr.startswith(
+            "note: 66 edges exceed 64, capping the cycle spectrum at 2 levels"
+        )
+
     def test_machine_cycle(self, runner, tmp_path):
         path = grf_file(tmp_path, "g.grf", fx.g_5v7e())
         r = runner.invoke(main, ["spectrum", path, "--kind", "cycle", "--format", "machine"])
@@ -340,3 +348,31 @@ class TestLoading:
         del out
         gc.collect()
         assert stream() is None
+
+
+COMMANDS = sorted(main.commands)
+
+
+def argv(command, path):
+    return [command, path, path] if command == "compare" else [command, path]
+
+
+class TestContract:
+    """Exit codes and formats every command shares."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_file_exits_2(self, runner, tmp_path, command):
+        r = runner.invoke(main, argv(command, str(tmp_path / "nope.grf")))
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: cannot read")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_machine_prints_one_json_object(self, runner, tmp_path, command):
+        if command == "tree":
+            path = write(tmp_path, "p.edges", "1 2\n2 3\n3 4\n")
+        else:
+            path = grf_file(tmp_path, "k4.grf", fx.k_n(4))
+        r = runner.invoke(main, [*argv(command, path), "--format", "machine"])
+        assert r.exit_code == 0
+        assert isinstance(json.loads(r.stdout), dict)
