@@ -1,10 +1,15 @@
 """Isometric cycle enumeration, and the per-edge wave labeling.
 
 A cycle is isometric when the distance between any two of its vertices
-measured along the cycle equals their distance in the whole graph.  The
-enumeration anchors every cycle at its smallest vertex and walks both of
-its halves down from the opposite vertex or edge together, keeping a step
-only when the new vertex pairs across the halves are at cycle distance.
+measured along the cycle equals their distance in the whole graph, and
+that holds exactly when every vertex is at distance floor(L/2) from its
+antipodes: a shortcut between two vertices also shortens the way from
+one of them to its antipode beyond the other.  The enumeration anchors
+every cycle at its smallest vertex and walks both of its halves down from
+the opposite vertex or edge together.  It settles each step with one or
+two distance probes per new vertex: against the antipodes once the other
+half reaches them, and against the neighbouring pair while the halves
+still form one geodesic through the top.
 The per-edge wave labeling labels the graph by wave depth from one end of
 an edge with the other end blocked; every strictly depth-descending route
 back closes a candidate cycle through the edge, and candidates confirmed
@@ -104,6 +109,28 @@ def cycles_through_edge(g: Graph, e: int, limit: int = 10**6) -> tuple[EdgeSet, 
     return tuple(sorted(sets, key=lambda c: c.ids()))
 
 
+def _step_probes(k: int, off: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Distance probes for each descent step t = 1..k of a cycle of length
+    L = 2k + off; entry t is (j1, j2, dj, dxy).
+
+    The new a_t must be at distance dj from b_j1 and b_j2, the new b_t at
+    distance dj from a_j1 and a_j2, and the two at dxy from each other.
+    Once a_t has an antipode among b_0..b_(t-1) (i + j + off = k, or also
+    i + j = k on an odd cycle), j1 and j2 name the antipodes and dj = k.
+    Before that j1 = j2 = t - 1 and dj = 2t - 1 + off: the probe
+    (a_t, b_(t-1)), and (a_(t-1), b_t), which d(a_t, b_t) = dxy already
+    implies but which keeps one shape for every step.  Entry 0 is
+    padding."""
+    rows = [(0, 0, 0, 0)]
+    for t in range(1, k + 1):
+        anti = [j for j in (k - off - t, k - t) if 0 <= j < t]
+        if anti:
+            rows.append((anti[0], anti[-1], k, min(2 * t + off, 2 * k - 2 * t)))
+        else:
+            rows.append((t - 1, t - 1, 2 * t - 1 + off, 2 * t + off))
+    return tuple(rows)
+
+
 def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     """All isometric cycles, ordered lexicographically by edge ids.
 
@@ -112,23 +139,30 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     2k (off = 0), the edge opposite w when its length is 2k+1 (off = 1).
     Its halves are geodesics from the top down to w, so for each anchor w
     and each top the search walks two routes a and b down one distance
-    level per step, through vertices above w.  Two vertices on one such
-    route are at geodesic distance, since their levels differ by their
-    distance along it, so a joined pair of routes is an isometric cycle
-    exactly when every cross pair (a_i, b_j) is at its distance along the
-    cycle, min(i+j+off, L-i-j-off); each step keeps a candidate pair only
-    when its new cross pairs are.  Even tops take a_1 < b_1, so each cycle
-    is emitted once.  ``limit`` caps the candidate route pairs tried over
-    the whole call and raises CandidateOverflow beyond it."""
+    level per step, through vertices above w.  A joined pair of routes is
+    an isometric cycle exactly when every cross pair (a_i, b_j) sits at
+    its distance along the cycle, min(i+j+off, L-i-j-off), and one or two
+    probes per new vertex settle all of its cross pairs (``_step_probes``):
+
+    * while the cycle distance still grows, d(a_t, b_(t-1)) = 2t-1+off
+      makes a_t..top..b_(t-1) a geodesic, so every pair on it is right,
+      and d(a_t, b_t) = 2t+off does the same for b_t;
+    * once a_t has an antipode b_j* on the other half, d(a_t, b_j*) = k
+      gives d(a_t, b_j) >= k - |j - j*|, which is the cycle distance, and
+      the route through w, d(a_t, w) + d(w, b_j), bounds it from above;
+      b_t and its antipodes on a alike.
+
+    So each step keeps exactly the candidate pairs whose cross pairs all
+    match (a cycle is isometric when every vertex is at distance
+    floor(L/2) from its antipodes), and tries the same route pairs.  Even tops take a_1 < b_1, so each cycle is emitted once.
+    ``limit`` caps the candidate route pairs tried over the whole call and
+    raises CandidateOverflow beyond it."""
     dist = all_pairs_distances(g)
-    # rings[off][k][s]: distance along a cycle of length 2k + off between
-    # a_i and b_j with i + j = s
     diameter = max(map(max, dist))
-    rings = [
-        [tuple(min(s + off, 2 * k - s) for s in range(2 * k + 1))
-         for k in range(diameter + 1)]
-        for off in (0, 1)
-    ]
+    probes = [[_step_probes(k, off) for k in range(diameter + 1)] for off in (0, 1)]
+    edge_bit: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    for e, (u, v) in enumerate(g.edges):
+        edge_bit[u][v] = edge_bit[v][u] = 1 << e
     found: list[int] = []
     tried = 0
     for w in g.vertices:
@@ -137,40 +171,43 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
             v: [y for y in g.adjacency(v) if y >= w and dw[y] == dw[v] - 1]
             for v in range(w + 1, g.n + 1)
         }
-        tops = [(x, x, 0, rings[0][dw[x]]) for x in range(w + 1, g.n + 1) if dw[x] >= 2]
+        tops = [(x, x, 0, probes[0][dw[x]]) for x in range(w + 1, g.n + 1) if dw[x] >= 2]
         tops += [
-            (u, v, 1 << (e - 1), rings[1][dw[u]])
+            (u, v, 1 << (e - 1), probes[1][dw[u]])
             for e, (u, v) in enumerate(g.edges, start=1)
             if u > w and dw[u] == dw[v]
         ]
-        for p, q, bits, ring in tops:
+        for p, q, bits, steps in tops:
             stack = [((p,), (q,), bits)]
             while stack:
                 a, b, bits = stack.pop()
-                t = len(a)
                 if a[-1] == w:
                     found.append(bits)
                     continue
+                t = len(a)
+                j1, j2, dj, dxy = steps[t]
+                db1, db2 = dist[b[j1]], dist[b[j2]]
+                da1, da2 = dist[a[j1]], dist[a[j2]]
+                bits_a, bits_b = edge_bit[a[-1]], edge_bit[b[-1]]
                 for x in down[a[-1]]:
-                    dx = dist[x]
-                    if any(dx[y] != ring[t + j] for j, y in enumerate(b)):
+                    if db1[x] != dj or db2[x] != dj:
                         continue
+                    dx = dist[x]
+                    # even top: a_1 < b_1; vertex ids start at 1
+                    lowest = x if p == q and t == 1 else 0
                     for y in down[b[-1]]:
-                        if p == q and t == 1 and y <= x:  # even top: a_1 < b_1
+                        if y <= lowest:
                             continue
                         tried += 1
                         if tried > limit:
                             raise CandidateOverflow(
                                 f"{tried} route pairs exceed limit {limit}"
                             )
-                        dy = dist[y]
-                        if dx[y] != ring[2 * t] or any(
-                            dy[v] != ring[t + j] for j, v in enumerate(a)
-                        ):
+                        if dx[y] != dxy or da1[y] != dj or da2[y] != dj:
                             continue
-                        bits_xy = bits | 1 << (g.edge_id(a[-1], x) - 1)
-                        bits_xy |= 1 << (g.edge_id(b[-1], y) - 1)
-                        stack.append((a + (x,), b + (y,), bits_xy))
+                        stack.append(
+                            (a + (x,), b + (y,), bits | bits_a[x] | bits_b[y])
+                        )
     sets = [EdgeSet.from_bits(g.m, bits) for bits in found]
     return tuple(sorted(sets, key=lambda c: c.ids()))
 
@@ -216,16 +253,19 @@ def is_isometric(
     cycle: EdgeSet,
     dist: tuple[tuple[int, ...], ...] | None = None,
 ) -> bool:
-    """Check that along-cycle distances equal graph distances for all pairs."""
+    """Check that along-cycle distances equal graph distances for all pairs.
+
+    It suffices that every vertex is at distance k = floor(L/2) from the
+    vertex k steps on: a shortcut between u and v, v at s <= k steps from
+    u, would also bring u within k - 1 of that vertex on v's side."""
     seq = cycle_order(g, cycle)
     if dist is None:
         dist = all_pairs_distances(g)
     length = len(seq)
-    for i in range(length):
-        for j in range(i + 1, length):
-            along = min(j - i, length - (j - i))
-            if dist[seq[i]][seq[j]] != along:
-                return False
+    k = length // 2
+    for i, v in enumerate(seq):
+        if dist[v][seq[(i + k) % length]] != k:
+            return False
     return True
 
 

@@ -160,10 +160,27 @@ def _table_sum(bits: int, tables: Sequence[list[int]]) -> int:
     return acc
 
 
+def _symmetric_with_empty_diagonal(matrix: Sequence[int]) -> bool:
+    """Whether bit j of row i always equals bit i of row j and no row holds
+    its own bit; only the set bits are visited."""
+    for i, r in enumerate(matrix):
+        if (r >> i) & 1:
+            return False
+        while r:
+            low = r & -r
+            if not (matrix[low.bit_length() - 1] >> i) & 1:
+                return False
+            r ^= low
+    return True
+
+
 def _build(kind: str, g: Graph, base: tuple[EdgeSet, ...], level_cap: int | None) -> Spectrum:
     if level_cap is not None and level_cap < 1:
         raise VertexOutOfRange(f"level cap {level_cap} must be at least 1")
     matrix = tuple(b.bits for b in base)
+    # every power of a symmetric M is symmetric, which the masked-popcount
+    # weights rely on
+    assert _symmetric_with_empty_diagonal(matrix)
     rows = [matrix]
     alive = sum(1 << i for i, r in enumerate(matrix) if r)
     alives = [alive]
@@ -255,13 +272,10 @@ def spectrum_edge_weights(spec: Spectrum) -> LevelWeights:
     M^(l+1) is symmetric, so xi_l(e) is the popcount of row e ANDed with
     the mask of the rows alive at level l.
     """
-    per_level = []
-    for rows, alive in zip(spec.rows, spec.alive):
-        xi = tuple((r & alive).bit_count() for r in rows)
-        # double-count identity: total live cell size equals total column
-        # weight, which holds when the table is symmetric
-        assert sum(r.bit_count() for i, r in enumerate(rows) if (alive >> i) & 1) == sum(xi)
-        per_level.append(xi)
+    per_level = [
+        tuple((r & alive).bit_count() for r in rows)
+        for rows, alive in zip(spec.rows, spec.alive)
+    ]
     return LevelWeights(tuple(per_level), tuple(map(sum, zip(*per_level))))
 
 

@@ -5,11 +5,24 @@ with one descent of both cycle halves pruned on cross distances.  For each
 vertex w it lists every geodesic toward w from the ends of each
 equidistant edge and from each vertex at distance 2 or more, joins every
 pair of routes that meet only at their ends, and keeps the joined edge
-sets that pass ``is_isometric``.  The oracle tests require both to return
-the same cycles in the same order.
+sets that pass ``is_isometric``, here the all-pairs check that
+edgespec.is_isometric replaced with one antipodal probe per vertex.  The
+oracle tests require both to return the same cycles in the same order.
 """
 
-from edgespec import CandidateOverflow, EdgeSet, all_pairs_distances, is_isometric
+from edgespec import CandidateOverflow, EdgeSet, all_pairs_distances, cycle_order
+
+
+def is_isometric(g, cycle, dist):
+    """Whether every pair of cycle vertices is as far apart in g as along the cycle."""
+    seq = cycle_order(g, cycle)
+    length = len(seq)
+    for i in range(length):
+        for j in range(i + 1, length):
+            along = min(j - i, length - (j - i))
+            if dist[seq[i]][seq[j]] != along:
+                return False
+    return True
 
 
 def _geodesic_counts(g, dist_w):

@@ -1,6 +1,11 @@
 """Isometric cycle enumeration and the per-edge wave labelings."""
 
+from random import Random
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgespec import (
     CandidateOverflow,
@@ -17,6 +22,7 @@ from edgespec import (
 )
 
 import fixtures as fx
+import isometric_reference as ref
 
 
 def as_ids(cycles):
@@ -202,6 +208,36 @@ def test_limit_overflows_or_gives_the_whole_result(name):
         assert found == whole
         passed = True
     assert passed
+
+
+@pytest.mark.parametrize(
+    "make, pairs",
+    [
+        (fx.petersen, 24),
+        (lambda: fx.hypercube(4), 444),
+        (lambda: fx.hypercube(5), 6162),
+        (lambda: fx.grid(10, 10), 15294),
+    ],
+    ids=["petersen", "q4", "q5", "grid_10x10"],
+)
+def test_limit_is_the_route_pairs_tried(make, pairs):
+    # the search tries exactly `pairs` candidate route pairs, so a limit of
+    # that many returns and one fewer overflows
+    g = make()
+    assert isometric_cycles(g, pairs) == isometric_cycles(g)
+    with pytest.raises(CandidateOverflow, match=f"^{pairs} route pairs exceed limit {pairs - 1}$"):
+        isometric_cycles(g, pairs - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_antipodal_check_agrees_with_all_pairs(seed):
+    # every simple cycle of up to 8 edges, isometric or not
+    g = fx.random_nonseparable(Random(seed))
+    dist = all_pairs_distances(g)
+    for seq in nx.simple_cycles(fx.to_nx(g), length_bound=8):
+        cycle = g.edge_set(g.edge_id(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
+        assert is_isometric(g, cycle, dist) == ref.is_isometric(g, cycle, dist)
 
 
 def test_grid_10x10_is_its_unit_squares():

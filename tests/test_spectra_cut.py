@@ -237,6 +237,16 @@ class TestLevelCap:
             build_cut_spectrum(fx.g_6v11e(), level_cap=0)
 
 
+@pytest.mark.parametrize("e, f", [(1, 7), (4, 4)], ids=["one_sided", "diagonal"])
+def test_build_rejects_a_base_that_is_not_symmetric_with_empty_diagonal(e, f):
+    # the masked-popcount weights read row e as column e
+    g = fx.g_6v11e()
+    base = list(base_edge_cuts(g))
+    base[e - 1] = base[e - 1] ^ g.edge_set([f])
+    with pytest.raises(AssertionError):
+        spectra._build("cut", g, tuple(base), None)
+
+
 @pytest.mark.parametrize(
     "name", ["g_6v11e", "g_8v15e", "prism", "octahedron", "petersen", "g_9v23e"]
 )

@@ -148,3 +148,51 @@ def test_fixture_base_tables_are_symmetric_with_empty_diagonal(name):
     g = fx.NONSEPARABLE_FIXTURES[name]()
     assert ref.is_symmetric_with_empty_diagonal(base_edge_cuts(g))
     assert ref.is_symmetric_with_empty_diagonal(base_edge_cycles(g))
+
+
+def assert_double_count_identity(spec):
+    # at every level the live cells hold as many edges as the column weights
+    # add up to; the weights read row e as column e, so this needs symmetry
+    xi = spectrum_edge_weights(spec)
+    assert len(xi.per_level) == len(spec.rows)
+    for rows, alive, weights in zip(spec.rows, spec.alive, xi.per_level):
+        live = sum(r.bit_count() for i, r in enumerate(rows) if (alive >> i) & 1)
+        assert live == sum(weights)
+
+
+def assert_identity_on_every_level(g):
+    # capped builds are prefixes of the uncapped ones
+    assert_double_count_identity(build_cut_spectrum(g))
+    assert_double_count_identity(build_cycle_spectrum(g, None))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_double_count_identity_on_random_graphs_and_trees(seed):
+    assert_identity_on_every_level(fx.random_nonseparable(Random(seed)))
+    assert_double_count_identity(cut_spectrum_unchecked(random_tree(Random(seed))))
+
+
+@pytest.mark.parametrize("name", sorted(fx.NONSEPARABLE_FIXTURES))
+def test_double_count_identity_on_fixtures(name):
+    assert_identity_on_every_level(fx.NONSEPARABLE_FIXTURES[name]())
+
+
+@pytest.mark.parametrize("n, seed", [(16, 1), (18, 2), (20, 4), (20, 6), (22, 1)])
+def test_double_count_identity_on_deep_cubic_spectra(n, seed):
+    assert_double_count_identity(build_cut_spectrum(fx.random_cubic(Random(seed), n)))
+
+
+@pytest.mark.parametrize("n, m", [(5, 7), (6, 8), (6, 9), (10, 15), (10, 16), (11, 17)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_double_count_identity_on_byte_boundary_graphs(n, m, seed):
+    assert_identity_on_every_level(cycle_with_chords(n, m, seed))
+
+
+@pytest.mark.parametrize("tree", [fx.k2, fx.spider_tree, fx.caterpillar_tree])
+def test_double_count_identity_on_fixture_trees(tree):
+    assert_double_count_identity(cut_spectrum_unchecked(tree()))
+
+
+def test_double_count_identity_on_cubic_64_capped():
+    assert_double_count_identity(build_cut_spectrum(fx.random_cubic(Random(3), 64), 100))
