@@ -10,6 +10,9 @@ the opposite vertex or edge together.  It settles each step with one or
 two distance probes per new vertex: against the antipodes once the other
 half reaches them, and against the neighbouring pair while the halves
 still form one geodesic through the top.
+The line-cycle search walks G the same way to find the isometric cycles
+of the line graph as cycles of G, with the probes that
+``edgespec.linegraph`` derives for them.
 The per-edge wave labeling labels the graph by wave depth from one end of
 an edge with the other end blocked; every strictly depth-descending route
 back closes a candidate cycle through the edge, and candidates confirmed
@@ -21,6 +24,8 @@ confirmed cycles through every edge of a line graph reproduces them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from typing import Iterable
 
 from .errors import CandidateOverflow, NotACycle
 from .graphs import EdgeSet, Graph, all_pairs_distances
@@ -104,9 +109,15 @@ def cycles_through_edge(g: Graph, e: int, limit: int = 10**6) -> tuple[EdgeSet, 
     full enumeration anchors at cycle antipodes instead."""
     forward = _directed_candidates(g, e, False, limit)
     backward = _directed_candidates(g, e, True, limit)
-    both = forward & backward
-    sets = [EdgeSet.from_bits(g.m, bits) for bits in both]
-    return tuple(sorted(sets, key=lambda c: c.ids()))
+    return in_id_order(g.m, forward & backward)
+
+
+def _edge_bits(g: Graph) -> list[dict[int, int]]:
+    # edge_bit[u][v]: the bit of edge uv in an edge mask
+    edge_bit: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    for e, (u, v) in enumerate(g.edges):
+        edge_bit[u][v] = edge_bit[v][u] = 1 << e
+    return edge_bit
 
 
 def _step_probes(k: int, off: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -160,9 +171,7 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     dist = all_pairs_distances(g)
     diameter = max(map(max, dist))
     probes = [[_step_probes(k, off) for k in range(diameter + 1)] for off in (0, 1)]
-    edge_bit: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
-    for e, (u, v) in enumerate(g.edges):
-        edge_bit[u][v] = edge_bit[v][u] = 1 << e
+    edge_bit = _edge_bits(g)
     found: list[int] = []
     tried = 0
     for w in g.vertices:
@@ -208,8 +217,154 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
                         stack.append(
                             (a + (x,), b + (y,), bits | bits_a[x] | bits_b[y])
                         )
-    sets = [EdgeSet.from_bits(g.m, bits) for bits in found]
-    return tuple(sorted(sets, key=lambda c: c.ids()))
+    return in_id_order(g.m, found)
+
+
+def in_id_order(m: int, masks: Iterable[int]) -> tuple[EdgeSet, ...]:
+    """Edge sets ordered lexicographically by edge ids, for masks of which
+    none is a subset of another, as the edge sets of distinct cycles are.
+    Then the set that holds the lowest differing id comes first: its mask
+    written lowest bit first is the larger string."""
+    width = f"0{m}b"
+    ordered = sorted(masks, key=lambda b: format(b, width)[::-1], reverse=True)
+    return tuple(EdgeSet.from_bits(m, b) for b in ordered)
+
+
+@cache
+def _line_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
+    """Distance probes for each descent step t = 1..k-1 of a line cycle of
+    length L = 2k + off >= 4; entry t is (probes of a_t, probes of b_t,
+    whether b_t is probed against a_t), and entry 0 is padding.
+
+    A probe is the index of a placed vertex in the route (p, q, a_1, b_1,
+    a_2, b_2, ...), a_j being j steps before the top and b_j j steps
+    after it: the placed vertices at cyclic distance k - 1 or k from the
+    new one, which must be k - 1 or more away from it.  The anchor needs
+    no probe: its distances are the levels."""
+    length = 2 * k + off
+
+    def position(i: int) -> int:
+        return k - i // 2 if i % 2 == 0 else k + off + i // 2
+
+    def probed(i: int, j: int) -> bool:
+        gap = abs(position(i) - position(j))
+        return min(gap, length - gap) >= k - 1
+
+    rows = [((), (), False)]
+    for t in range(1, k):
+        placed = [i for i in range(2 * t) if off or i != 1]
+        rows.append(
+            (
+                tuple(i for i in placed if probed(i, 2 * t)),
+                tuple(i for i in placed if probed(i, 2 * t + 1)),
+                probed(2 * t, 2 * t + 1),
+            )
+        )
+    return tuple(rows)
+
+
+def line_cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
+    """Source edge masks of the isometric cycles of the line graph L(G)
+    other than the vertex triples, found as cycles of G: its triangles,
+    and the simple cycles v_0 ... v_(L-1) of length L = 2k + off >= 4
+    whose pairs at cyclic distance k - 1 or k are all k - 1 or more apart
+    in G (facts 2 and 3 in ``edgespec.linegraph``).
+
+    The arcs of k - 1 edges of such a cycle are geodesics, so relative to
+    its smallest vertex w both halves descend one level per step, and the
+    top (v_k, or the edge v_k v_(k+1) when L is odd) sits at level k - 1
+    or k.  Each anchor w takes each top at both k its levels allow and
+    walks two routes a and b down from it as ``isometric_cycles`` does,
+    the first step to level k - 1, and ``_line_probes`` settles each new
+    vertex against the placed ones at cyclic distance k - 1 and k.  As
+    k - 1 >= 1, those probes also keep the vertices apart: a repeated
+    vertex gives one such pair a shortcut of fewer than k - 1 edges.  The
+    routes close at w from level 1.  Even tops take a_1 < b_1 and odd tops
+    u < v, so each cycle is emitted once.  ``limit`` caps the route pairs
+    tried over the whole call and raises CandidateOverflow beyond it."""
+    dist = all_pairs_distances(g)
+    diameter = max(map(max, dist))
+    # far[d][v]: mask of the vertices at distance d or more from v
+    far = [[0] * (g.n + 1) for _ in range(diameter + 1)]
+    for v in g.vertices:
+        at = [0] * (diameter + 1)
+        for u, du in enumerate(dist[v]):
+            if du >= 0:
+                at[du] |= 1 << u
+        mask = 0
+        for d in range(diameter, -1, -1):
+            mask |= at[d]
+            far[d][v] = mask
+    edge_bit = _edge_bits(g)
+    found: list[int] = []
+    tried = 0
+    for w in g.vertices:
+        dw = dist[w]
+        to_w = edge_bit[w]
+        down = {
+            v: [y for y in g.adjacency(v) if y > w and dw[y] == dw[v] - 1]
+            for v in range(w + 1, g.n + 1)
+        }
+        side = {
+            v: [y for y in g.adjacency(v) if y > w and dw[y] == dw[v]]
+            for v in range(w + 1, g.n + 1)
+        }
+        # (p, q, bits, k, first steps from p and from q); a level-k end
+        # steps down, a level-(k-1) end steps along its level
+        tops = [
+            (x, x, 0, dw[x], down[x], down[x])
+            for x in down
+            if dw[x] >= 2 and len(down[x]) >= 2
+        ]
+        tops += [(x, x, 0, dw[x] + 1, side[x], side[x]) for x in side if len(side[x]) >= 2]
+        for e, (u, v) in enumerate(g.edges):
+            if u > w:
+                for k in {max(dw[u], dw[v]), min(dw[u], dw[v]) + 1}:
+                    first_u = down[u] if dw[u] == k else side[u]
+                    first_v = down[v] if dw[v] == k else side[v]
+                    if k == 1:  # the triangle w u v
+                        found.append(1 << e | to_w[u] | to_w[v])
+                    elif first_u and first_v:
+                        tops.append((u, v, 1 << e, k, first_u, first_v))
+        for p, q, bits, k, first_a, first_b in tops:
+            steps = _line_probes(k, p != q)
+            far_k = far[k - 1]
+            stack = [((p, q), bits)]
+            while stack:
+                route, bits = stack.pop()
+                a_end, b_end = route[-2], route[-1]
+                t = len(route) // 2
+                on_a, on_b, cross = steps[t]
+                ok_a = ok_b = -1
+                for i in on_a:
+                    ok_a &= far_k[route[i]]
+                for i in on_b:
+                    ok_b &= far_k[route[i]]
+                xs, ys = (first_a, first_b) if t == 1 else (down[a_end], down[b_end])
+                bits_a, bits_b = edge_bit[a_end], edge_bit[b_end]
+                last = t == k - 1
+                for x in xs:
+                    if not ok_a >> x & 1:
+                        continue
+                    ok_y = ok_b & far_k[x] if cross else ok_b
+                    # even top: a_1 < b_1; vertex ids start at 1
+                    lowest = x if p == q and t == 1 else 0
+                    for y in ys:
+                        if y <= lowest:
+                            continue
+                        tried += 1
+                        if tried > limit:
+                            raise CandidateOverflow(
+                                f"{tried} route pairs exceed limit {limit}"
+                            )
+                        if not ok_y >> y & 1:
+                            continue
+                        step = bits | bits_a[x] | bits_b[y]
+                        if last:
+                            found.append(step | to_w[x] | to_w[y])
+                        else:
+                            stack.append((route + (x, y), step))
+    return found
 
 
 def cycle_order(g: Graph, cycle: EdgeSet) -> tuple[int, ...]:

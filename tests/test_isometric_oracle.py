@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgespec import isometric_cycles, line_graph
+from edgespec import EdgeSet, cycles_through_edge, isometric_cycles, line_graph
 
 import fixtures as fx
 import isometric_reference as ref
@@ -46,3 +46,32 @@ def test_random_graph_and_its_line_graph_match_reference(seed):
 def test_random_cubic_matches_reference(seed):
     rng = Random(seed)
     assert_matches_reference(fx.random_cubic(rng, rng.choice((12, 16, 20, 24, 32))))
+
+
+def assert_in_id_order(g):
+    # the search orders cycles by reversed masks, which equals id order
+    # because no cycle's edge set holds another's
+    cycles = isometric_cycles(g)
+    assert cycles == tuple(sorted(cycles, key=EdgeSet.ids))
+    for e in g.edge_ids:
+        through = cycles_through_edge(g, e)
+        assert through == tuple(sorted(through, key=EdgeSet.ids))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_cycles_in_id_order(name):
+    assert_in_id_order(FIXTURES[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_random_graph_and_its_line_graph_cycles_in_id_order(seed):
+    g = fx.random_nonseparable(Random(seed))
+    assert_in_id_order(g)
+    assert_in_id_order(line_graph(g).graph)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_cubic_cycles_in_id_order(seed):
+    rng = Random(seed)
+    assert_in_id_order(fx.random_cubic(rng, rng.choice((12, 16, 20, 24, 32))))
