@@ -17,11 +17,13 @@ from .errors import LimitExceeded, NotAPermutation, NotATree
 from .graphs import Graph, build_graph
 from .isometric import isometric_cycles
 from .linegraph import digital_invariant_IL, line_cycle_weights
+# _cycle_spectrum skips the nonseparability check: each caller here built
+# the same graph's cut spectrum first, which checked it
 from .spectra import (
     Invariant,
     SpectrumInvariant,
+    _cycle_spectrum,
     build_cut_spectrum,
-    build_cycle_spectrum,
     cut_spectrum_unchecked,
     spectrum_edge_weights,
     spectrum_invariant,
@@ -74,7 +76,7 @@ def integral_invariant(
         return IntegralInvariant(tree_invariant(g), None, None)
     cut = spectrum_invariant(build_cut_spectrum(g, max_levels))
     cycles = isometric_cycles(g, limit)
-    cyc = spectrum_invariant(build_cycle_spectrum(g, 1, cycles))
+    cyc = spectrum_invariant(_cycle_spectrum(g, 1, cycles))
     line = digital_invariant_IL(g, limit) if with_line else None
     return IntegralInvariant(cut, cyc, line)
 
@@ -135,8 +137,8 @@ def compare_graphs(
         )
     if gi.total != hi.total:
         return _not_iso("cut spectrum total invariant")
-    gc = spectrum_invariant(build_cycle_spectrum(g, 1))
-    hc = spectrum_invariant(build_cycle_spectrum(h, 1))
+    gc = spectrum_invariant(_cycle_spectrum(g, 1, None))
+    hc = spectrum_invariant(_cycle_spectrum(h, 1, None))
     if gc != hc:
         return _not_iso("cycle spectrum base invariant")
     if with_line:
@@ -172,7 +174,7 @@ def vertex_orbit_partition(
     """Group vertices by their cut, cycle, and optional line weight signatures."""
     cut = build_cut_spectrum(g, max_levels)
     zeta_cut = vertex_weights(cut, spectrum_edge_weights(cut))
-    cyc = build_cycle_spectrum(g, 1)
+    cyc = _cycle_spectrum(g, 1, None)
     zeta_cyc = vertex_weights(cyc, spectrum_edge_weights(cyc))
     line_part = line_cycle_weights(g, limit)[1] if with_line else None
     signatures = []

@@ -110,7 +110,7 @@ def ring_sum(a: EdgeSet, b: EdgeSet) -> EdgeSet:
 class Graph:
     """Immutable simple undirected graph with 1-based vertex and edge ids."""
 
-    __slots__ = ("n", "m", "edges", "_adj", "_inc", "_eid")
+    __slots__ = ("n", "m", "edges", "_adj", "_inc", "_eid", "_dist")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]) -> None:
         # edges must arrive validated and normalized (u < v), in id order
@@ -129,6 +129,8 @@ class Graph:
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(self, "_inc", tuple(tuple(sorted(i)) for i in inc))
         object.__setattr__(self, "_eid", eid)
+        # all_pairs_distances fills this on first use
+        object.__setattr__(self, "_dist", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -295,7 +297,13 @@ def central_cut(g: Graph, v: int) -> EdgeSet:
 
 
 def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """BFS distance table; row and column 0 are -1 padding."""
+    """BFS distance table; row and column 0 are -1 padding.
+
+    The table is computed once per graph and kept on it, so every caller
+    of the same graph shares it.
+    """
+    if g._dist is not None:
+        return g._dist
     rows: list[tuple[int, ...]] = [tuple([-1] * (g.n + 1))]
     for s in g.vertices:
         dist = [-1] * (g.n + 1)
@@ -308,7 +316,8 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
                     dist[u] = dist[v] + 1
                     queue.append(u)
         rows.append(tuple(dist))
-    return tuple(rows)
+    object.__setattr__(g, "_dist", tuple(rows))
+    return g._dist
 
 
 class NonseparableReport:

@@ -5,22 +5,27 @@ endpoints; the base cycle of an edge is the ring sum of the isometric
 cycles through it, corrected by the rim when the edge lies on it.  Either
 base table is a symmetric 0/1 matrix M over GF(2) with an empty diagonal,
 and level l of its spectrum holds the rows of M^(l+1): each row applies
-the gamma transform to its previous value.  The build does that step with
-8-bit Four-Russians tables of M (Arlazarov et al. 1970): the base rows go
-in chunks of 8, each chunk gets a 256-entry table of its XOR combinations,
-and a row's next value is the XOR of one table entry per byte of the row,
-ceil(m/8) lookups instead of one XOR per set bit.  A row dies (shows an
-empty cell) the moment its value is zero or repeats an earlier value of
-the same row.  Construction stops when every row is dead or at an
-explicit level cap.  Because every power of M is symmetric, the weight of
-edge e at a level is the popcount of row e masked by the rows still alive
-there.
+the gamma transform to its previous value.  M has a sparse factor, M =
+W·Wᵀ.  For cuts W is the edge-vertex incidence matrix Bᵀ, so M = BᵀB:
+two edges sharing one endpoint meet once, and an edge meets itself twice,
+which is 0.  For cycles W is Y, the edge-cycle incidence matrix of the
+isometric cycles plus one column for the rim, so tau0 = Y·Yᵀ.  The build
+takes each level step through W in two sparse XOR passes, about 3m XORs
+per level for cuts whatever the density, and builds W only for the first
+step past the base level, after checking that the step maps the identity
+to M.  A row dies (shows an empty cell) the moment its value is zero or
+repeats an earlier value of the same row.  Construction stops when every
+row is dead or at an explicit level cap.  Because every power of M is
+symmetric, the weight of edge e at a level is the popcount of row e
+masked by the rows still alive there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, zip_longest
+from operator import itemgetter, xor
+from typing import Callable, Sequence
 
 from .errors import NotNonseparable, VertexOutOfRange
 from .graphs import EdgeSet, Graph, central_cut, is_nonseparable
@@ -139,25 +144,74 @@ def gamma_w(g: Graph, s: EdgeSet) -> EdgeSet:
     return gamma(s, base_edge_cuts(g))
 
 
-def _byte_tables(matrix: Sequence[int]) -> tuple[list[int], ...]:
-    """Four-Russians tables: table c, entry x is the XOR of the rows
-    matrix[8c + i] over the set bits i of x."""
-    tables = []
-    for c in range(0, len(matrix), 8):
-        t = [0]
-        for b in matrix[c : c + 8]:
-            t += [x ^ b for x in t]
-        tables.append(t)
-    return tuple(tables)
+def _xor_pass(groups: Sequence[Sequence[int]], spare: int) -> tuple[itemgetter, ...]:
+    """Gathers for one sparse XOR pass, which maps a sequence to the XOR
+    of the entries each of two or more groups indexes; spare indexes a
+    zero entry.
+
+    Column c picks entry c of each group, or spare where a group is
+    shorter.  The first two columns span every group; a later one ends
+    after the last group longer than c, so groups sorted longest first
+    need no padding there, but keeps two entries, so that every
+    itemgetter returns a tuple.
+    """
+    lengths = [len(grp) for grp in groups]
+    ends = [len(groups)] * 2 + [2] * (max(2, *lengths) - 2)
+    for i, n in enumerate(lengths):
+        for c in range(2, n):
+            ends[c] = max(2, i + 1)
+    # the extra pair makes two columns at least; no end reaches it
+    columns = zip_longest(*groups, (spare, spare), fillvalue=spare)
+    return tuple(itemgetter(*col[:end]) for col, end in zip(columns, ends))
 
 
-def _table_sum(bits: int, tables: Sequence[list[int]]) -> int:
-    """Ring sum of the base rows named by bits, one lookup per byte of bits;
-    byte c of bits is (bits >> 8c) & 255 and indexes tables[c]."""
-    acc = 0
-    for t, byte in zip(tables, bits.to_bytes(len(tables), "little")):
-        acc ^= t[byte]
-    return acc
+def _xor_columns(columns: Sequence[itemgetter], seq: Sequence[int]) -> tuple[int, ...]:
+    """Apply the gathers of _xor_pass to seq."""
+    acc = map(xor, columns[0](seq), columns[1](seq))
+    for col in columns[2:]:
+        # the map stops when the shorter column runs out, before it draws
+        # from acc, and chain goes on with the rest of acc
+        acc = chain(map(xor, col(seq), acc), acc)
+    return tuple(acc)
+
+
+def _factor_step(
+    m: int, slots: Sequence[Sequence[int]]
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Level step R -> M·R for a base M = W·Wᵀ over GF(2), where each slot
+    lists the edge ids in one column of the sparse factor W.
+
+    The step reads and returns rows padded with a zero at index 0, so
+    entry e is row e.  Pass one XORs the rows over each slot into sums;
+    pass two XORs, for each edge, the sums of the slots that hold it.
+    That is about two XORs per entry of W, 3m for the cut factor.
+    """
+    # longest first, so pass one's later columns cover a prefix of the
+    # slots; the empty group at the end gives sums its zero
+    slots = sorted(slots, key=len, reverse=True)
+    holders: list[list[int]] = [[] for _ in range(m + 1)]
+    for s, slot in enumerate(slots):
+        for e in slot:
+            holders[e].append(s)
+    first = _xor_pass([*slots, ()], 0)
+    second = _xor_pass(holders, len(slots))
+
+    def step(padded: tuple[int, ...]) -> tuple[int, ...]:
+        return _xor_columns(second, _xor_columns(first, padded))
+
+    return step
+
+
+def _cut_slots(g: Graph) -> list[tuple[int, ...]]:
+    """Columns of the incidence factor B with BᵀB = the base edge cuts:
+    one slot per vertex, holding its incident edges."""
+    return [g.incident_edges(v) for v in g.vertices]
+
+
+def _cycle_slots(g: Graph, cycles: tuple[EdgeSet, ...]) -> list[tuple[int, ...]]:
+    """Columns of Y with Y·Yᵀ = the base edge cycles: one slot per
+    isometric cycle, plus the rim."""
+    return [c.ids() for c in cycles] + [rim(g, cycles).ids()]
 
 
 def _symmetric_with_empty_diagonal(matrix: Sequence[int]) -> bool:
@@ -174,7 +228,13 @@ def _symmetric_with_empty_diagonal(matrix: Sequence[int]) -> bool:
     return True
 
 
-def _build(kind: str, g: Graph, base: tuple[EdgeSet, ...], level_cap: int | None) -> Spectrum:
+def _build(
+    kind: str,
+    g: Graph,
+    base: tuple[EdgeSet, ...],
+    slots: Callable[[], Sequence[Sequence[int]]],
+    level_cap: int | None,
+) -> Spectrum:
     if level_cap is not None and level_cap < 1:
         raise VertexOutOfRange(f"level cap {level_cap} must be at least 1")
     matrix = tuple(b.bits for b in base)
@@ -184,26 +244,34 @@ def _build(kind: str, g: Graph, base: tuple[EdgeSet, ...], level_cap: int | None
     rows = [matrix]
     alive = sum(1 << i for i, r in enumerate(matrix) if r)
     alives = [alive]
-    # a row dies on reaching zero or any value it has held before
-    seen = [{0, r} for r in matrix]
+    # a row dies on reaching zero or any value it has held before; live
+    # pairs each live row's edge id with the values it has held
+    live = [(e, {0, r}) for e, r in enumerate(matrix, start=1) if r]
     truncated = False
-    tables = None
+    step = None
+    padded = (0, *matrix)
     while alive:
         if level_cap is not None and len(rows) >= level_cap:
             truncated = True
             break
-        if tables is None:
-            tables = _byte_tables(matrix)
-        nxt = tuple(_table_sum(r, tables) for r in rows[-1])
-        for i, r in enumerate(nxt):
-            if (alive >> i) & 1:
-                if r in seen[i]:
-                    alive ^= 1 << i
-                else:
-                    seen[i].add(r)
-        if not alive:
-            break
-        rows.append(nxt)
+        if step is None:
+            step = _factor_step(g.m, slots())
+            # the factor must reproduce the base: M·I = M
+            assert step((0, *(1 << i for i in range(g.m)))) == padded
+        padded = step(padded)
+        dead = 0
+        for e, seen in live:
+            r = padded[e]
+            if r in seen:
+                dead |= 1 << (e - 1)
+            else:
+                seen.add(r)
+        if dead:
+            alive ^= dead
+            if not alive:
+                break
+            live = [(e, seen) for e, seen in live if (alive >> (e - 1)) & 1]
+        rows.append(padded[1:])
         alives.append(alive)
     return Spectrum(kind, g, tuple(rows), tuple(alives), truncated)
 
@@ -213,13 +281,13 @@ def build_cut_spectrum(g: Graph, level_cap: int | None = None) -> Spectrum:
     report = is_nonseparable(g)
     if not report:
         raise NotNonseparable(report.reason)
-    return _build("cut", g, base_edge_cuts(g), level_cap)
+    return _build("cut", g, base_edge_cuts(g), lambda: _cut_slots(g), level_cap)
 
 
 def cut_spectrum_unchecked(g: Graph, level_cap: int | None = None) -> Spectrum:
     """Cut spectrum without the nonseparability gate; the tree invariant
     uses this on trees, where cuts are defined but cycles are not."""
-    return _build("cut", g, base_edge_cuts(g), level_cap)
+    return _build("cut", g, base_edge_cuts(g), lambda: _cut_slots(g), level_cap)
 
 
 def rim(g: Graph, cycles: tuple[EdgeSet, ...] | None = None) -> EdgeSet:
@@ -254,6 +322,22 @@ def base_edge_cycles(
     return tuple(out)
 
 
+def _cycle_spectrum(
+    g: Graph, level_cap: int | None, cycles: tuple[EdgeSet, ...] | None
+) -> Spectrum:
+    """Cycle spectrum without the nonseparability gate, for callers that
+    checked g when they built its cut spectrum."""
+    if cycles is None:
+        cycles = isometric_cycles(g)
+    return _build(
+        "cycle",
+        g,
+        base_edge_cycles(g, cycles),
+        lambda: _cycle_slots(g, cycles),
+        level_cap,
+    )
+
+
 def build_cycle_spectrum(
     g: Graph,
     level_cap: int | None = 1,
@@ -263,7 +347,7 @@ def build_cycle_spectrum(
     report = is_nonseparable(g)
     if not report:
         raise NotNonseparable(report.reason)
-    return _build("cycle", g, base_edge_cycles(g, cycles), level_cap)
+    return _cycle_spectrum(g, level_cap, cycles)
 
 
 def spectrum_edge_weights(spec: Spectrum) -> LevelWeights:

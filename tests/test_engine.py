@@ -2,6 +2,8 @@
 
 import pytest
 
+import edgespec.isometric
+import edgespec.spectra
 from edgespec import (
     LimitExceeded,
     NotAPermutation,
@@ -224,3 +226,35 @@ class TestRelabel:
             relabel(fx.g_6v11e(), {v: 1 for v in range(1, 7)})
         with pytest.raises(NotAPermutation):
             relabel(fx.g_6v11e(), (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "run, graphs",
+    [
+        (integral_invariant, 1),
+        (vertex_orbit_partition, 1),
+        (lambda g: compare_graphs(g, relabel(g, list(range(10, 0, -1)))), 2),
+    ],
+    ids=["integral_invariant", "vertex_orbit_partition", "compare_graphs"],
+)
+def test_nonseparability_is_checked_once_per_graph(monkeypatch, run, graphs):
+    real = edgespec.spectra.is_nonseparable
+    checked = []
+    monkeypatch.setattr(
+        edgespec.spectra, "is_nonseparable", lambda g: checked.append(g) or real(g)
+    )
+    run(fx.petersen())
+    assert len(checked) == graphs
+
+
+def test_line_invariant_computes_the_distance_table_once(monkeypatch):
+    real = edgespec.isometric.all_pairs_distances
+    fresh = []
+    monkeypatch.setattr(
+        edgespec.isometric,
+        "all_pairs_distances",
+        lambda g: fresh.append(g._dist is None) or real(g),
+    )
+    # relabelled by the identity: a new Graph with no distance table yet
+    integral_invariant(relabel(fx.petersen(), list(range(1, 11))), with_line=True)
+    assert fresh == [True, False]

@@ -180,6 +180,16 @@ def test_all_pairs_distances():
     assert all(row[0] == -1 for row in d)
 
 
+def test_all_pairs_distances_are_computed_once_per_graph():
+    rows = [[2, 4], [1, 3], [2, 4], [1, 3]]
+    g = build_graph(4, rows)
+    d = all_pairs_distances(g)
+    assert all_pairs_distances(g) is d
+    h = build_graph(4, rows)
+    assert h == g
+    assert all_pairs_distances(h) == d
+
+
 class TestNonseparable:
     def test_single_edge_qualifies(self):
         assert is_nonseparable(fx.k2())

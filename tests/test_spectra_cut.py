@@ -7,6 +7,7 @@ from edgespec import (
     VertexOutOfRange,
     base_edge_cuts,
     build_cut_spectrum,
+    build_cycle_spectrum,
     build_graph,
     gamma_w,
     invariant_IS,
@@ -223,14 +224,15 @@ class TestLevelCap:
         assert not spec.truncated
         assert len(spec.levels) == 4
 
-    def test_base_level_cap_builds_no_tables(self, monkeypatch):
-        def no_tables(matrix):
-            raise AssertionError("gamma tables built for a one-level spectrum")
+    def test_base_level_cap_builds_no_factor(self, monkeypatch):
+        def no_factor(m, slots):
+            raise AssertionError("level step built for a one-level spectrum")
 
-        monkeypatch.setattr(spectra, "_byte_tables", no_tables)
-        spec = build_cut_spectrum(fx.g_6v11e(), level_cap=1)
-        assert spec.truncated
-        assert len(spec.rows) == 1
+        monkeypatch.setattr(spectra, "_factor_step", no_factor)
+        g = fx.g_6v11e()
+        for spec in (build_cut_spectrum(g, level_cap=1), build_cycle_spectrum(g, level_cap=1)):
+            assert spec.truncated
+            assert len(spec.rows) == 1
 
     def test_zero_cap_rejected(self):
         with pytest.raises(VertexOutOfRange, match="level cap 0"):
@@ -244,7 +246,7 @@ def test_build_rejects_a_base_that_is_not_symmetric_with_empty_diagonal(e, f):
     base = list(base_edge_cuts(g))
     base[e - 1] = base[e - 1] ^ g.edge_set([f])
     with pytest.raises(AssertionError):
-        spectra._build("cut", g, tuple(base), None)
+        spectra._build("cut", g, tuple(base), lambda: spectra._cut_slots(g), None)
 
 
 @pytest.mark.parametrize(

@@ -14,10 +14,12 @@ from edgespec import (
     build_cycle_spectrum,
     gamma,
     graph_from_edges,
+    isometric_cycles,
     spectrum_edge_weights,
     spectrum_invariant,
     vertex_weights,
 )
+from edgespec import spectra
 from edgespec.spectra import cut_spectrum_unchecked
 
 import fixtures as fx
@@ -85,8 +87,8 @@ def test_deep_cubic_spectra_match_reference(n, seed):
     assert_matches_reference(build_cut_spectrum(g), base_edge_cuts(g), None)
 
 
-# the gamma step reads rows a byte at a time, so edge counts just below,
-# at and just above a multiple of 8 exercise a partial last byte table
+# edge counts just below, at and just above a multiple of 8: boundary
+# cases for any step that reads rows a byte at a time
 @pytest.mark.parametrize("n, m", [(5, 7), (6, 8), (6, 9), (10, 15), (10, 16), (11, 17)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_byte_boundary_graphs_match_reference(n, m, seed):
@@ -196,3 +198,72 @@ def test_double_count_identity_on_fixture_trees(tree):
 
 def test_double_count_identity_on_cubic_64_capped():
     assert_double_count_identity(build_cut_spectrum(fx.random_cubic(Random(3), 64), 100))
+
+
+# The level step goes through a sparse factor W of the base, M = W·Wᵀ:
+# vertex incidence for cuts, cycle incidence plus the rim for cycles.  On
+# the identity it must give back the base rows.
+
+
+def identity_step(g, slots):
+    step = spectra._factor_step(g.m, slots)
+    padded = step((0, *(1 << i for i in range(g.m))))
+    assert padded[0] == 0
+    return padded[1:]
+
+
+def assert_factors_give_the_bases(g):
+    assert identity_step(g, spectra._cut_slots(g)) == tuple(
+        b.bits for b in base_edge_cuts(g)
+    )
+    cycles = isometric_cycles(g)
+    assert identity_step(g, spectra._cycle_slots(g, cycles)) == tuple(
+        b.bits for b in base_edge_cycles(g, cycles)
+    )
+
+
+def star(k):
+    return graph_from_edges(k + 1, [(1, v) for v in range(2, k + 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_factor_step_on_the_identity_gives_the_bases(seed):
+    rng = Random(seed)
+    assert_factors_give_the_bases(fx.random_nonseparable(rng))
+    assert_factors_give_the_bases(random_tree(rng))
+
+
+@pytest.mark.parametrize("n, m", [(5, 7), (6, 8), (6, 9), (10, 15), (10, 16), (11, 17)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_factor_step_gives_the_bases_on_byte_boundary_graphs(n, m, seed):
+    assert_factors_give_the_bases(cycle_with_chords(n, m, seed))
+
+
+# leaves and K2 have slots of one edge, which the gathers pad with the
+# zero entry; K4's triangles cover each edge twice, so its rim is empty
+@pytest.mark.parametrize(
+    "graph",
+    [fx.k2, lambda: star(8), lambda: fx.k_n(4), fx.spider_tree, fx.caterpillar_tree],
+    ids=["k2", "star_1_8", "k4", "spider", "caterpillar"],
+)
+def test_factor_step_gives_the_bases_on_padded_and_rimless_graphs(graph):
+    assert_factors_give_the_bases(graph())
+
+
+def test_k4_has_an_empty_rim():
+    g = fx.k_n(4)
+    assert spectra._cycle_slots(g, isometric_cycles(g))[-1] == ()
+
+
+def test_star_matches_reference():
+    g = star(8)
+    for cap in CUT_CAPS:
+        assert_matches_reference(cut_spectrum_unchecked(g, cap), base_edge_cuts(g), cap)
+
+
+def test_single_edge_cycle_spectrum_matches_reference():
+    k2 = fx.k2()
+    for cap in CYCLE_CAPS:
+        spec = build_cycle_spectrum(k2, cap)
+        assert_matches_reference(spec, base_edge_cycles(k2), cap)
