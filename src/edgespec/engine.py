@@ -5,6 +5,12 @@ size, degree multiset, then the per-level and total cut-spectrum
 invariants, the base cycle-spectrum invariant, and optionally the line
 invariant.  Equality of all invariants is inconclusive; for small graphs
 an exhaustive search settles the question.
+
+The cut spectra of the two graphs are built in lockstep through the
+resumable builder of spectra.  Both grow by 1, 2, 4, ... levels at a
+time, and each new common level is weighed and compared before the next
+chunk is built, so a pair that first differs at level l builds fewer
+than 2(l + 1) levels of each instead of both spectra to the end.
 """
 
 from __future__ import annotations
@@ -22,7 +28,11 @@ from .linegraph import digital_invariant_IL, line_cycle_weights
 from .spectra import (
     Invariant,
     SpectrumInvariant,
+    _check_nonseparable,
+    _cut_builder,
     _cycle_spectrum,
+    _level_weights,
+    _total_invariant,
     build_cut_spectrum,
     cut_spectrum_unchecked,
     spectrum_edge_weights,
@@ -107,6 +117,43 @@ def _settle_equal(g: Graph, h: Graph, brute_force_limit: int) -> ComparisonResul
     return ComparisonResult(Verdict.ISOMORPHIC, None, bijection)
 
 
+def _cut_witness(g: Graph, h: Graph, max_levels: int | None) -> str | None:
+    """The first cut-spectrum witness that separates g and h, or None.
+
+    Both spectra grow in lockstep, by 1, 2, 4, ... levels at a time, and
+    each new common level is weighed once per graph and compared, so a
+    pair that differs at level l builds fewer than 2(l + 1) levels of
+    each.  When one spectrum ends the other is built to its end: the
+    level counts and the totals need every level.
+    """
+    for x in (g, h):
+        _check_nonseparable(x)
+    builders = (_cut_builder(g, max_levels), _cut_builder(h, max_levels))
+    weights: tuple[list, list] = ([], [])
+    chunk = 1
+    while True:
+        compared = len(weights[0])
+        for b in builders:
+            b.extend(compared + chunk)
+        for l in range(compared, min(len(b.rows) for b in builders)):
+            level = []
+            for b, w in zip(builders, weights):
+                w.append(_level_weights(b.graph, b.rows[l], b.alives[l]))
+                level.append(Invariant.from_weights(*w[l]))
+            if level[0] != level[1]:
+                return f"cut spectrum level {l} invariant"
+        if builders[0].done or builders[1].done:
+            break
+        chunk *= 2
+    gi, hi = (b.spectrum() for b in builders)
+    if (gi.level_count, gi.truncated) != (hi.level_count, hi.truncated):
+        return f"cut spectrum level count {gi.level_count} vs {hi.level_count}"
+    # equal level counts mean equal lengths, so every level is weighed
+    if _total_invariant(weights[0]) != _total_invariant(weights[1]):
+        return "cut spectrum total invariant"
+    return None
+
+
 def compare_graphs(
     g: Graph,
     h: Graph,
@@ -126,19 +173,11 @@ def compare_graphs(
         if tree_invariant(g) != tree_invariant(h):
             return _not_iso("tree cut invariant")
         return _settle_equal(g, h, brute_force_limit)
-    gi = spectrum_invariant(build_cut_spectrum(g, max_levels))
-    hi = spectrum_invariant(build_cut_spectrum(h, max_levels))
-    for l in range(min(len(gi.per_level), len(hi.per_level))):
-        if gi.per_level[l] != hi.per_level[l]:
-            return _not_iso(f"cut spectrum level {l} invariant")
-    if (gi.level_count, gi.truncated) != (hi.level_count, hi.truncated):
-        return _not_iso(
-            f"cut spectrum level count {gi.level_count} vs {hi.level_count}"
-        )
-    if gi.total != hi.total:
-        return _not_iso("cut spectrum total invariant")
-    gc = spectrum_invariant(_cycle_spectrum(g, 1, None))
-    hc = spectrum_invariant(_cycle_spectrum(h, 1, None))
+    witness = _cut_witness(g, h, max_levels)
+    if witness is not None:
+        return _not_iso(witness)
+    gc = spectrum_invariant(_cycle_spectrum(g, 1, isometric_cycles(g, limit)))
+    hc = spectrum_invariant(_cycle_spectrum(h, 1, isometric_cycles(h, limit)))
     if gc != hc:
         return _not_iso("cycle spectrum base invariant")
     if with_line:
@@ -174,7 +213,7 @@ def vertex_orbit_partition(
     """Group vertices by their cut, cycle, and optional line weight signatures."""
     cut = build_cut_spectrum(g, max_levels)
     zeta_cut = vertex_weights(cut, spectrum_edge_weights(cut))
-    cyc = _cycle_spectrum(g, 1, None)
+    cyc = _cycle_spectrum(g, 1, isometric_cycles(g, limit))
     zeta_cyc = vertex_weights(cyc, spectrum_edge_weights(cyc))
     line_part = line_cycle_weights(g, limit)[1] if with_line else None
     signatures = []

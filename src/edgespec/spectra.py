@@ -18,6 +18,14 @@ repeats an earlier value of the same row.  Construction stops when every
 row is dead or at an explicit level cap.  Because every power of M is
 symmetric, the weight of edge e at a level is the popcount of row e
 masked by the rows still alive there.
+
+The level loop is resumable.  A _Builder holds one spectrum's rows,
+alive masks, live rows with the values each has held, and factor step;
+extend(until) runs the loop until `until` levels exist, the cap is
+reached or every row is dead, and a later call carries on from there.
+A Spectrum is a builder run to the end.  The compare cascade in engine
+extends two builders in lockstep and stops at the first level whose
+invariants differ.  Both weigh each level once, through _level_weights.
 """
 
 from __future__ import annotations
@@ -228,66 +236,107 @@ def _symmetric_with_empty_diagonal(matrix: Sequence[int]) -> bool:
     return True
 
 
-def _build(
-    kind: str,
-    g: Graph,
-    base: tuple[EdgeSet, ...],
-    slots: Callable[[], Sequence[Sequence[int]]],
-    level_cap: int | None,
-) -> Spectrum:
-    if level_cap is not None and level_cap < 1:
-        raise VertexOutOfRange(f"level cap {level_cap} must be at least 1")
-    matrix = tuple(b.bits for b in base)
-    # every power of a symmetric M is symmetric, which the masked-popcount
-    # weights rely on
-    assert _symmetric_with_empty_diagonal(matrix)
-    rows = [matrix]
-    alive = sum(1 << i for i, r in enumerate(matrix) if r)
-    alives = [alive]
-    # a row dies on reaching zero or any value it has held before; live
-    # pairs each live row's edge id with the values it has held
-    live = [(e, {0, r}) for e, r in enumerate(matrix, start=1) if r]
-    truncated = False
-    step = None
-    padded = (0, *matrix)
-    while alive:
-        if level_cap is not None and len(rows) >= level_cap:
-            truncated = True
-            break
-        if step is None:
-            step = _factor_step(g.m, slots())
-            # the factor must reproduce the base: M·I = M
-            assert step((0, *(1 << i for i in range(g.m)))) == padded
-        padded = step(padded)
-        dead = 0
-        for e, seen in live:
-            r = padded[e]
-            if r in seen:
-                dead |= 1 << (e - 1)
-            else:
-                seen.add(r)
-        if dead:
-            alive ^= dead
-            if not alive:
+class _Builder:
+    """The level loop of one spectrum, resumable.
+
+    extend(until) runs the loop until `until` levels exist (every level
+    for None), the level cap is reached or every row is dead, and keeps
+    the rows, alive masks, live sets and factor step for the next call.
+    After any call, done tells whether the spectrum is complete: every
+    row is dead, or the cap was reached with rows still alive, which
+    sets truncated.  spectrum() runs the loop to the end.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        g: Graph,
+        base: tuple[EdgeSet, ...],
+        slots: Callable[[], Sequence[Sequence[int]]],
+        level_cap: int | None,
+    ) -> None:
+        if level_cap is not None and level_cap < 1:
+            raise VertexOutOfRange(f"level cap {level_cap} must be at least 1")
+        matrix = tuple(b.bits for b in base)
+        # every power of a symmetric M is symmetric, which the masked-popcount
+        # weights rely on
+        assert _symmetric_with_empty_diagonal(matrix)
+        self.kind = kind
+        self.graph = g
+        self.rows = [matrix]
+        self.alive = sum(1 << i for i, r in enumerate(matrix) if r)
+        self.alives = [self.alive]
+        # a row dies on reaching zero or any value it has held before; live
+        # pairs each live row's edge id with the values it has held
+        self._live = [(e, {0, r}) for e, r in enumerate(matrix, start=1) if r]
+        self.truncated = False
+        self._cap = level_cap
+        self._slots = slots
+        self._step = None
+        self._padded = (0, *matrix)
+
+    @property
+    def done(self) -> bool:
+        return self.truncated or not self.alive
+
+    def extend(self, until: int | None) -> None:
+        rows, alives, live = self.rows, self.alives, self._live
+        alive, step, padded, cap = self.alive, self._step, self._padded, self._cap
+        while alive:
+            if cap is not None and len(rows) >= cap:
+                self.truncated = True
                 break
-            live = [(e, seen) for e, seen in live if (alive >> (e - 1)) & 1]
-        rows.append(padded[1:])
-        alives.append(alive)
-    return Spectrum(kind, g, tuple(rows), tuple(alives), truncated)
+            if until is not None and len(rows) >= until:
+                break
+            if step is None:
+                step = _factor_step(self.graph.m, self._slots())
+                # the factor must reproduce the base: M·I = M
+                assert step((0, *(1 << i for i in range(self.graph.m)))) == padded
+            padded = step(padded)
+            dead = 0
+            for e, seen in live:
+                r = padded[e]
+                if r in seen:
+                    dead |= 1 << (e - 1)
+                else:
+                    seen.add(r)
+            if dead:
+                alive ^= dead
+                if not alive:
+                    break
+                live = [(e, seen) for e, seen in live if (alive >> (e - 1)) & 1]
+            rows.append(padded[1:])
+            alives.append(alive)
+        self.alive, self._step, self._padded, self._live = alive, step, padded, live
+
+    def spectrum(self) -> Spectrum:
+        self.extend(None)
+        return Spectrum(
+            self.kind, self.graph, tuple(self.rows), tuple(self.alives), self.truncated
+        )
+
+
+def _check_nonseparable(g: Graph) -> None:
+    report = is_nonseparable(g)
+    if not report:
+        raise NotNonseparable(report.reason)
+
+
+def _cut_builder(g: Graph, level_cap: int | None) -> _Builder:
+    """Cut spectrum builder without the nonseparability gate."""
+    return _Builder("cut", g, base_edge_cuts(g), lambda: _cut_slots(g), level_cap)
 
 
 def build_cut_spectrum(g: Graph, level_cap: int | None = None) -> Spectrum:
     """Iterated gamma table over the base edge cuts of a nonseparable graph."""
-    report = is_nonseparable(g)
-    if not report:
-        raise NotNonseparable(report.reason)
-    return _build("cut", g, base_edge_cuts(g), lambda: _cut_slots(g), level_cap)
+    _check_nonseparable(g)
+    return _cut_builder(g, level_cap).spectrum()
 
 
 def cut_spectrum_unchecked(g: Graph, level_cap: int | None = None) -> Spectrum:
     """Cut spectrum without the nonseparability gate; the tree invariant
     uses this on trees, where cuts are defined but cycles are not."""
-    return _build("cut", g, base_edge_cuts(g), lambda: _cut_slots(g), level_cap)
+    return _cut_builder(g, level_cap).spectrum()
 
 
 def rim(g: Graph, cycles: tuple[EdgeSet, ...] | None = None) -> EdgeSet:
@@ -329,13 +378,13 @@ def _cycle_spectrum(
     checked g when they built its cut spectrum."""
     if cycles is None:
         cycles = isometric_cycles(g)
-    return _build(
+    return _Builder(
         "cycle",
         g,
         base_edge_cycles(g, cycles),
         lambda: _cycle_slots(g, cycles),
         level_cap,
-    )
+    ).spectrum()
 
 
 def build_cycle_spectrum(
@@ -344,9 +393,7 @@ def build_cycle_spectrum(
     cycles: tuple[EdgeSet, ...] | None = None,
 ) -> Spectrum:
     """Iterated gamma table over the base edge cycles of a nonseparable graph."""
-    report = is_nonseparable(g)
-    if not report:
-        raise NotNonseparable(report.reason)
+    _check_nonseparable(g)
     return _cycle_spectrum(g, level_cap, cycles)
 
 
@@ -363,19 +410,40 @@ def spectrum_edge_weights(spec: Spectrum) -> LevelWeights:
     return LevelWeights(tuple(per_level), tuple(map(sum, zip(*per_level))))
 
 
+def _vertex_sums(g: Graph, xi: Sequence[int]) -> list[int]:
+    """zeta of one level: xi summed over the edges incident to each vertex."""
+    zeta = [0] * (g.n + 1)
+    for (u, v), x in zip(g.edges, xi):
+        zeta[u] += x
+        zeta[v] += x
+    del zeta[0]
+    return zeta
+
+
 def vertex_weights(spec: Spectrum, edge_weights: LevelWeights | None = None) -> LevelWeights:
     """zeta_l(v): sum of xi_l over the edges incident to v."""
     if edge_weights is None:
         edge_weights = spectrum_edge_weights(spec)
-    g = spec.graph
-    per_level = []
-    for xi in edge_weights.per_level:
-        zeta = [0] * (g.n + 1)
-        for (u, v), x in zip(g.edges, xi):
-            zeta[u] += x
-            zeta[v] += x
-        per_level.append(tuple(zeta[1:]))
+    per_level = [tuple(_vertex_sums(spec.graph, xi)) for xi in edge_weights.per_level]
     return LevelWeights(tuple(per_level), tuple(map(sum, zip(*per_level))))
+
+
+Weights = tuple[list[int], list[int]]
+
+
+def _level_weights(g: Graph, rows: Sequence[int], alive: int) -> Weights:
+    """xi and zeta of one level, from its rows and alive mask; the spectrum
+    invariant and the compare cascade weigh every level through this."""
+    xi = [(r & alive).bit_count() for r in rows]
+    return xi, _vertex_sums(g, xi)
+
+
+def _total_invariant(weights: Sequence[Weights]) -> Invariant:
+    """Invariant of the columnwise totals of per-level weights."""
+    xis, zetas = zip(*weights)
+    return Invariant.from_weights(
+        tuple(map(sum, zip(*xis))), tuple(map(sum, zip(*zetas)))
+    )
 
 
 @dataclass(frozen=True)
@@ -397,15 +465,16 @@ class SpectrumInvariant:
 
 
 def spectrum_invariant(spec: Spectrum) -> SpectrumInvariant:
-    xi = spectrum_edge_weights(spec)
-    zeta = vertex_weights(spec, xi)
-    per_level = tuple(
-        Invariant.from_weights(xi.per_level[l], zeta.per_level[l])
-        for l in range(len(spec.rows))
-    )
-    total = Invariant.from_weights(xi.total, zeta.total)
+    weights = [
+        _level_weights(spec.graph, rows, alive)
+        for rows, alive in zip(spec.rows, spec.alive)
+    ]
     return SpectrumInvariant(
-        spec.kind, spec.level_count, spec.truncated, total, per_level
+        spec.kind,
+        spec.level_count,
+        spec.truncated,
+        _total_invariant(weights),
+        tuple(Invariant.from_weights(xi, zeta) for xi, zeta in weights),
     )
 
 

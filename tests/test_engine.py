@@ -5,6 +5,7 @@ import pytest
 import edgespec.isometric
 import edgespec.spectra
 from edgespec import (
+    CandidateOverflow,
     LimitExceeded,
     NotAPermutation,
     NotATree,
@@ -258,3 +259,17 @@ def test_line_invariant_computes_the_distance_table_once(monkeypatch):
     # relabelled by the identity: a new Graph with no distance table yet
     integral_invariant(relabel(fx.petersen(), list(range(1, 11))), with_line=True)
     assert fresh == [True, False]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        integral_invariant,
+        vertex_orbit_partition,
+        lambda g, **kw: compare_graphs(g, relabel(g, list(range(g.n, 0, -1))), **kw),
+    ],
+    ids=["integral_invariant", "vertex_orbit_partition", "compare_graphs"],
+)
+def test_limit_bounds_the_isometric_enumeration(run):
+    with pytest.raises(CandidateOverflow, match="^101 route pairs exceed limit 100$"):
+        run(fx.hypercube(5), limit=100)

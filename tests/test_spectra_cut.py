@@ -246,7 +246,7 @@ def test_build_rejects_a_base_that_is_not_symmetric_with_empty_diagonal(e, f):
     base = list(base_edge_cuts(g))
     base[e - 1] = base[e - 1] ^ g.edge_set([f])
     with pytest.raises(AssertionError):
-        spectra._build("cut", g, tuple(base), lambda: spectra._cut_slots(g), None)
+        spectra._Builder("cut", g, tuple(base), lambda: spectra._cut_slots(g), None)
 
 
 @pytest.mark.parametrize(
