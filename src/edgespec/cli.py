@@ -19,6 +19,7 @@ from .engine import (
     Verdict,
     compare_graphs,
     integral_invariant,
+    is_tree,
     tree_invariant,
     vertex_orbit_partition,
 )
@@ -57,7 +58,8 @@ def _load(path: str) -> Graph:
 
 
 def _effective_levels(g: Graph, max_levels: int | None, kind: str = "cut") -> int | None:
-    if max_levels is not None:
+    # trees take the tree invariant, which no cap applies to
+    if max_levels is not None or is_tree(g):
         return max_levels
     if g.m > LEVEL_CAP_THRESHOLD:
         _echo(

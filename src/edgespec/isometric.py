@@ -120,6 +120,7 @@ def _edge_bits(g: Graph) -> list[dict[int, int]]:
     return edge_bit
 
 
+@cache
 def _step_probes(k: int, off: int) -> tuple[tuple[int, int, int, int], ...]:
     """Distance probes for each descent step t = 1..k of a cycle of length
     L = 2k + off; entry t is (j1, j2, dj, dxy).
@@ -169,8 +170,6 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     ``limit`` caps the candidate route pairs tried over the whole call and
     raises CandidateOverflow beyond it."""
     dist = all_pairs_distances(g)
-    diameter = max(map(max, dist))
-    probes = [[_step_probes(k, off) for k in range(diameter + 1)] for off in (0, 1)]
     edge_bit = _edge_bits(g)
     found: list[int] = []
     tried = 0
@@ -180,11 +179,18 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
             v: [y for y in g.adjacency(v) if y >= w and dw[y] == dw[v] - 1]
             for v in range(w + 1, g.n + 1)
         }
-        tops = [(x, x, 0, probes[0][dw[x]]) for x in range(w + 1, g.n + 1) if dw[x] >= 2]
+        # a top with no route pair to try is skipped: an even top needs two
+        # down-neighbours (a_1 < b_1), so it lies at distance 2 or more
+        # from w, and an odd top needs one at each end
+        tops = [
+            (x, x, 0, _step_probes(dw[x], 0))
+            for x, below in down.items()
+            if len(below) >= 2
+        ]
         tops += [
-            (u, v, 1 << (e - 1), probes[1][dw[u]])
+            (u, v, 1 << (e - 1), _step_probes(dw[u], 1))
             for e, (u, v) in enumerate(g.edges, start=1)
-            if u > w and dw[u] == dw[v]
+            if u > w and dw[u] == dw[v] and down[u] and down[v]
         ]
         for p, q, bits, steps in tops:
             stack = [((p,), (q,), bits)]

@@ -19,6 +19,17 @@ row is dead or at an explicit level cap.  Because every power of M is
 symmetric, the weight of edge e at a level is the popcount of row e
 masked by the rows still alive there.
 
+Each live row keeps the set of values it has held, but only through
+level m, the edge count; past it the death check only looks values up.
+That is exact.  The rank of M^k falls strictly until it stops, at some
+k = N <= m, and then GF(2)^m = ker M^N ⊕ im M^N with M nilpotent on the
+first part and invertible on the second.  Level l holds row e of
+M^(l+1), so from level N - 1 on every row lies in im M^N and runs purely
+periodically: its first repeat is of a value it held by level N - 1, and
+it reaches zero, if ever, by then too.  On the cubic graphs of the
+benchmark's cut_deep workload the adds were about a quarter of a level's
+build time, and the sets would otherwise hold one value per level.
+
 The level loop is resumable.  A _Builder holds one spectrum's rows,
 alive masks, live rows with the values each has held, and factor step;
 extend(until) runs the loop until `until` levels exist, the cap is
@@ -242,6 +253,9 @@ class _Builder:
     extend(until) runs the loop until `until` levels exist (every level
     for None), the level cap is reached or every row is dead, and keeps
     the rows, alive masks, live sets and factor step for the next call.
+    Each live row's set of held values grows through level m and is only
+    read after that, when every row runs purely periodically (see the
+    module docstring), so it never holds more than m + 2 values.
     After any call, done tells whether the spectrum is complete: every
     row is dead, or the cap was reached with rows still alive, which
     sets truncated.  spectrum() runs the loop to the end.
@@ -267,7 +281,8 @@ class _Builder:
         self.alive = sum(1 << i for i, r in enumerate(matrix) if r)
         self.alives = [self.alive]
         # a row dies on reaching zero or any value it has held before; live
-        # pairs each live row's edge id with the values it has held
+        # pairs each live row's edge id with zero and the values it has
+        # held, through level m
         self._live = [(e, {0, r}) for e, r in enumerate(matrix, start=1) if r]
         self.truncated = False
         self._cap = level_cap
@@ -282,6 +297,7 @@ class _Builder:
     def extend(self, until: int | None) -> None:
         rows, alives, live = self.rows, self.alives, self._live
         alive, step, padded, cap = self.alive, self._step, self._padded, self._cap
+        m = self.graph.m
         while alive:
             if cap is not None and len(rows) >= cap:
                 self.truncated = True
@@ -289,17 +305,23 @@ class _Builder:
             if until is not None and len(rows) >= until:
                 break
             if step is None:
-                step = _factor_step(self.graph.m, self._slots())
+                step = _factor_step(m, self._slots())
                 # the factor must reproduce the base: M·I = M
-                assert step((0, *(1 << i for i in range(self.graph.m)))) == padded
+                assert step((0, *(1 << i for i in range(m)))) == padded
             padded = step(padded)
             dead = 0
-            for e, seen in live:
-                r = padded[e]
-                if r in seen:
-                    dead |= 1 << (e - 1)
-                else:
-                    seen.add(r)
+            if len(rows) <= m:
+                for e, seen in live:
+                    r = padded[e]
+                    if r in seen:
+                        dead |= 1 << (e - 1)
+                    else:
+                        seen.add(r)
+            else:
+                # past level m every row repeats a value it held by then
+                for e, seen in live:
+                    if padded[e] in seen:
+                        dead |= 1 << (e - 1)
             if dead:
                 alive ^= dead
                 if not alive:

@@ -30,6 +30,10 @@ def grf_file(tmp_path, name, g):
     return write(tmp_path, name, emit_grf(g))
 
 
+# a spider with 33 legs of 2 edges, as an edge list
+SPIDER_33X2 = "".join(f"1 {2 * i}\n{2 * i} {2 * i + 1}\n" for i in range(1, 34))
+
+
 class TestInvariant:
     def test_human(self, runner, tmp_path):
         path = grf_file(tmp_path, "g.grf", fx.g_6v11e())
@@ -80,6 +84,15 @@ class TestInvariant:
         assert r.stderr.startswith(
             "note: 66 edges exceed 64, capping the cut spectrum at 2 levels"
         )
+
+    def test_trees_get_no_cap_note(self, runner, tmp_path):
+        # 33 legs of 2 edges: 66 edges, over the cap threshold, but trees
+        # take the uncapped tree invariant
+        path = write(tmp_path, "spider.txt", SPIDER_33X2)
+        r = runner.invoke(main, ["invariant", path])
+        assert r.exit_code == 0
+        assert r.stderr == ""
+        assert "tree levels: 6" in r.stdout.splitlines()
 
     def test_explicit_levels_silence_the_note(self, runner, tmp_path):
         path = grf_file(tmp_path, "k12.grf", fx.k_n(12))
@@ -133,6 +146,14 @@ class TestCompare:
         b = grf_file(tmp_path, "b.grf", relabel(g, {v: v % 16 + 1 for v in g.vertices}))
         r = runner.invoke(main, ["compare", a, b])
         assert r.exit_code == 0
+        assert r.stdout.splitlines() == ["verdict: indistinguishable by invariants"]
+
+    def test_trees_get_no_cap_note(self, runner, tmp_path):
+        a = write(tmp_path, "a.txt", SPIDER_33X2)
+        b = write(tmp_path, "b.txt", SPIDER_33X2)
+        r = runner.invoke(main, ["compare", a, b])
+        assert r.exit_code == 0
+        assert r.stderr == ""
         assert r.stdout.splitlines() == ["verdict: indistinguishable by invariants"]
 
     def test_brute_force_limit_flag(self, runner, tmp_path):

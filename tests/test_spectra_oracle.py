@@ -29,8 +29,8 @@ CUT_CAPS = (None, 1, 2, 3)
 CYCLE_CAPS = (1, 2, None)
 
 
-def random_tree(rng: Random):
-    n = rng.randint(2, 14)
+def random_tree(rng: Random, n_min: int = 2, n_max: int = 14):
+    n = rng.randint(n_min, n_max)
     edges = sorted((rng.randint(1, v - 1), v) for v in range(2, n + 1))
     return graph_from_edges(n, edges)
 
@@ -267,3 +267,104 @@ def test_single_edge_cycle_spectrum_matches_reference():
     for cap in CYCLE_CAPS:
         spec = build_cycle_spectrum(k2, cap)
         assert_matches_reference(spec, base_edge_cycles(k2), cap)
+
+
+# Past level m (m = edge count) the build stops adding each live row's
+# values to its set of held values: a row still alive there dies exactly
+# when its value is zero or one it held by level m.  Level l holds row e
+# of M^(l+1).  The rank of M^k falls strictly until it stops, at some
+# k = N <= m, and then GF(2)^m = ker M^N ⊕ im M^N with M invertible on the
+# second part, so from level N - 1 on every row runs purely periodically.
+# A too-early freeze lets a row run past its first repeat forever; these
+# tests cap such builds, so that it fails rather than hangs.
+
+
+def times_base(r, base):
+    """Row r times M, M given by its integer rows."""
+    acc = 0
+    for i, b in enumerate(base):
+        if (r >> i) & 1:
+            acc ^= b
+    return acc
+
+
+def first_repeats(base):
+    """For each nonzero row of the base, walked one level at a time: the
+    level at which it dies, and the level at which it first held the
+    value it dies on, or None when it dies on zero."""
+    out = []
+    for r in base:
+        if not r:
+            continue
+        held = {r: 0}
+        level = 0
+        while True:
+            level += 1
+            r = times_base(r, base)
+            if not r or r in held:
+                out.append((level, held.get(r)))
+                break
+            held[r] = level
+    return out
+
+
+def assert_repeats_a_value_held_by_level_m(base):
+    # both bounds are N - 1 <= m - 1, one level inside the build's freeze
+    m = len(base)
+    for died, held in first_repeats(base):
+        if held is None:
+            assert died < m
+        else:
+            assert held < m
+
+
+def bits(base):
+    return [b.bits for b in base]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_rows_repeat_a_value_held_by_level_m(seed):
+    g = fx.random_nonseparable(Random(seed))
+    assert_repeats_a_value_held_by_level_m(bits(base_edge_cuts(g)))
+    assert_repeats_a_value_held_by_level_m(bits(base_edge_cycles(g)))
+    t = random_tree(Random(seed))
+    assert_repeats_a_value_held_by_level_m(bits(base_edge_cuts(t)))
+
+
+@pytest.mark.parametrize("n, seed", [(16, 1), (18, 2), (20, 4), (20, 6)])
+def test_deep_cubic_rows_repeat_a_value_held_by_level_m(n, seed):
+    g = fx.random_cubic(Random(seed), n)
+    assert_repeats_a_value_held_by_level_m(bits(base_edge_cuts(g)))
+
+
+def broom(k, j):
+    """A path of k edges from vertex 1, with j leaves at its far end."""
+    edges = [(v, v + 1) for v in range(1, k + 1)]
+    edges += [(k + 1, k + 2 + i) for i in range(j)]
+    return graph_from_edges(k + 1 + j, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_random_trees_to_30_vertices_match_reference_at_cap_300(seed):
+    t = random_tree(Random(seed), 3, 30)
+    assert_matches_reference(cut_spectrum_unchecked(t, 300), base_edge_cuts(t), 300)
+
+
+def test_tree_with_a_late_first_repeat_matches_reference():
+    t = broom(14, 3)
+    # a row dies at level 15 on the value it first held at level 14
+    assert (15, 14) in first_repeats(bits(base_edge_cuts(t)))
+    assert_matches_reference(cut_spectrum_unchecked(t, 300), base_edge_cuts(t), 300)
+
+
+@pytest.mark.parametrize("n, seed", [(18, 2), (20, 4), (20, 6), (22, 1)])
+def test_held_values_stop_growing_after_level_m(n, seed):
+    g = fx.random_cubic(Random(seed), n)
+    builder = spectra._cut_builder(g, None)
+    builder.extend(g.m + 8)
+    assert len(builder.rows) == g.m + 8
+    assert builder._live
+    # zero and one distinct value for each of the levels 0..m
+    assert all(len(held) == g.m + 2 for _, held in builder._live)
