@@ -3,16 +3,18 @@
 Reads graphs from offset-format files (.grf) or plain edge lists, prints
 invariants, spectra, cycles, orbit candidates, and comparison verdicts in
 a human layout or a machine JSON layout.  Exit code 1 flags a not
-isomorphic verdict; any library error, such as unreadable input, exits 2.
+isomorphic verdict; any library error, such as unreadable input, exits 2,
+and so does a usage error.
 """
 
 from __future__ import annotations
 
+import argparse
+import codecs
 import json
+import os
 import sys
 from pathlib import Path
-
-import click
 
 from .engine import (
     IntegralInvariant,
@@ -94,10 +96,7 @@ def _spectrum_inv_dict(si: SpectrumInvariant) -> dict:
 
 
 def _echo(text: str, err: bool = False) -> None:
-    # click.echo's default stream comes from a cache that never frees a
-    # redirected sys.stdout or sys.stderr; get_text_stream applies the same
-    # encoding fix-up to the current stream without caching it
-    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"))
+    print(text, file=sys.stderr if err else sys.stdout)
 
 
 def _emit_machine(payload: dict) -> None:
@@ -120,35 +119,6 @@ def _print_integral(g: Graph, inv: IntegralInvariant) -> None:
         _echo(f"IL: {inv.line}")
 
 
-class _Main(click.Group):
-    """The command group; any library error a command raises exits 2."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except EdgespecError as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-
-@click.group(cls=_Main)
-def main() -> None:
-    """Graph invariants from edge-cut and edge-cycle spectra."""
-
-
-_format = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "machine"]),
-    default="human",
-)
-
-
-@main.command()
-@click.argument("path")
-@click.option("--max-levels", type=int, default=None, help="Cut spectrum level cap.")
-@click.option("--with-line-invariant", is_flag=True, help="Also compute IL.")
-@_format
 def invariant(path: str, max_levels: int | None, with_line_invariant: bool, fmt: str) -> None:
     """Integral invariant of one graph."""
     g = _load(path)
@@ -170,13 +140,6 @@ def invariant(path: str, max_levels: int | None, with_line_invariant: bool, fmt:
         _print_integral(g, inv)
 
 
-@main.command()
-@click.argument("path_a")
-@click.argument("path_b")
-@click.option("--max-levels", type=int, default=None, help="Cut spectrum level cap.")
-@click.option("--with-line-invariant", is_flag=True, help="Also compare IL.")
-@click.option("--brute-force-limit", type=int, default=10, show_default=True)
-@_format
 def compare(
     path_a: str,
     path_b: str,
@@ -219,9 +182,6 @@ def compare(
         sys.exit(1)
 
 
-@main.command()
-@click.argument("path")
-@_format
 def cycles(path: str, fmt: str) -> None:
     """Isometric cycles: edge id lines, then vertex id lines."""
     g = _load(path)
@@ -246,11 +206,6 @@ def cycles(path: str, fmt: str) -> None:
         _echo(f"cycle {i}: " + " ".join(str(v) for v in seq))
 
 
-@main.command()
-@click.argument("path")
-@click.option("--kind", type=click.Choice(["cut", "cycle"]), default="cut")
-@click.option("--max-levels", type=int, default=None, help="Level cap.")
-@_format
 def spectrum(path: str, kind: str, max_levels: int | None, fmt: str) -> None:
     """Full spectrum table with per-level weights."""
     g = _load(path)
@@ -298,11 +253,6 @@ def spectrum(path: str, kind: str, max_levels: int | None, fmt: str) -> None:
     _echo("  zeta: " + " ".join(str(z) for z in zeta.total))
 
 
-@main.command()
-@click.argument("path")
-@click.option("--max-levels", type=int, default=None, help="Cut spectrum level cap.")
-@click.option("--with-line-invariant", is_flag=True, help="Add IL to the signature.")
-@_format
 def orbits(path: str, max_levels: int | None, with_line_invariant: bool, fmt: str) -> None:
     """Candidate vertex orbits from weight signatures."""
     g = _load(path)
@@ -317,9 +267,6 @@ def orbits(path: str, max_levels: int | None, with_line_invariant: bool, fmt: st
         _echo(f"orbit {i}: " + " ".join(str(v) for v in grp))
 
 
-@main.command()
-@click.argument("path")
-@_format
 def linegraph(path: str, fmt: str) -> None:
     """Line graph size, cycle classification, and the line invariant."""
     g = _load(path)
@@ -348,9 +295,6 @@ def linegraph(path: str, fmt: str) -> None:
     _echo(f"IL: {inv}")
 
 
-@main.command()
-@click.argument("path")
-@_format
 def tree(path: str, fmt: str) -> None:
     """Uncapped cut invariant of a tree."""
     g = _load(path)
@@ -360,6 +304,121 @@ def tree(path: str, fmt: str) -> None:
         return
     _print_integral(g, IntegralInvariant(inv, None, None))
 
+
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its commands by name."""
+
+    def shared(*flags: str, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
+    fmt = shared(
+        "--format",
+        dest="fmt",
+        choices=("human", "machine"),
+        default="human",
+        help="output layout (default: human)",
+    )
+    levels = shared(
+        "--max-levels",
+        type=int,
+        metavar="N",
+        help=f"spectrum level cap (default: none, or 2 for a non-tree past {LEVEL_CAP_THRESHOLD} edges)",
+    )
+    line = shared(
+        "--with-line-invariant", action="store_true", help="include the line invariant IL"
+    )
+    parser = argparse.ArgumentParser(
+        prog="edgespec",
+        description="Graph invariants from edge-cut and edge-cycle spectra.",
+        epilog="exit status: 0 done, 1 compare found the graphs not isomorphic, "
+        "2 an error such as unreadable input or a usage error",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(required=True, metavar="COMMAND")
+    commands = {}
+
+    def command(run, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        commands[run.__name__] = run
+        p = sub.add_parser(
+            run.__name__,
+            help=run.__doc__,
+            description=run.__doc__,
+            parents=[*parents, fmt],
+            allow_abbrev=False,
+        )
+        p.set_defaults(run=run)
+        return p
+
+    command(invariant, levels, line).add_argument("path")
+    p = command(compare, levels, line)
+    p.add_argument("path_a")
+    p.add_argument("path_b")
+    p.add_argument(
+        "--brute-force-limit",
+        type=int,
+        default=10,
+        metavar="N",
+        help="largest vertex count settled by exhaustive search (default: 10)",
+    )
+    command(cycles).add_argument("path")
+    p = command(spectrum, levels)
+    p.add_argument("path")
+    p.add_argument("--kind", choices=("cut", "cycle"), default="cut", help="(default: cut)")
+    command(orbits, levels, line).add_argument("path")
+    command(linegraph).add_argument("path")
+    command(tree).add_argument("path")
+    return parser, commands
+
+
+class _Main:
+    """The ``edgespec`` command, called as the console script.
+
+    Any library error a command raises prints ``error: ...`` on stderr and
+    exits 2; argparse exits 2 on a usage error.
+    """
+
+    def __init__(self) -> None:
+        self.parser, self.commands = _parser()
+
+    def main(self, args=None, prog_name=None, standalone_mode=True) -> None:
+        """Run one command line; ``args`` defaults to ``sys.argv[1:]``.
+
+        ``prog_name`` is accepted for callers of the click-style signature;
+        usage text always names ``edgespec``.  In standalone mode, the
+        console script's, a command that returns exits 0, an ASCII-only
+        standard stream is switched to UTF-8 so that "×" prints, and a
+        reader closing the pipe early exits 1 without a traceback.
+        Otherwise a command that returns returns, and only exits 1 and 2
+        raise ``SystemExit``.
+        """
+        if standalone_mode:
+            for stream in (sys.stdout, sys.stderr):
+                if codecs.lookup(getattr(stream, "encoding", None) or "utf-8").name == "ascii":
+                    stream.reconfigure(encoding="utf-8")
+        options = vars(self.parser.parse_args(args))
+        run = options.pop("run")
+        try:
+            run(**options)
+            if standalone_mode:
+                sys.stdout.flush()
+        except EdgespecError as exc:
+            _echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except BrokenPipeError:
+            if not standalone_mode:
+                raise
+            # stdout goes to /dev/null so that the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        if standalone_mode:
+            sys.exit(0)
+
+    __call__ = main
+
+
+main = _Main()
 
 if __name__ == "__main__":
     main()

@@ -42,6 +42,7 @@ invariants differ.  Both weigh each level once, through _level_weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, zip_longest
 from operator import itemgetter, xor
 from typing import Callable, Sequence
@@ -195,7 +196,7 @@ def _xor_columns(columns: Sequence[itemgetter], seq: Sequence[int]) -> tuple[int
 
 
 def _factor_step(
-    m: int, slots: Sequence[Sequence[int]]
+    m: int, slots: Sequence[Sequence[int]], fold_tail: bool = False
 ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """Level step R -> M·R for a base M = W·Wᵀ over GF(2), where each slot
     lists the edge ids in one column of the sparse factor W.
@@ -204,6 +205,11 @@ def _factor_step(
     entry e is row e.  Pass one XORs the rows over each slot into sums;
     pass two XORs, for each edge, the sums of the slots that hold it.
     That is about two XORs per entry of W, 3m for the cut factor.
+
+    With fold_tail, the part of the longest slot past the second longest
+    is XORed by one gather and reduce, not by one two-entry column of pass
+    one per entry; the cycle factor's rim can be m long where its cycles
+    are a few edges.
     """
     # longest first, so pass one's later columns cover a prefix of the
     # slots; the empty group at the end gives sums its zero
@@ -212,13 +218,24 @@ def _factor_step(
     for s, slot in enumerate(slots):
         for e in slot:
             holders[e].append(s)
-    first = _xor_pass([*slots, ()], 0)
     second = _xor_pass(holders, len(slots))
+    split = len(slots[1]) if len(slots) > 1 else 0
+    if not fold_tail or len(slots[0]) - split < 2:
+        first = _xor_pass([*slots, ()], 0)
 
-    def step(padded: tuple[int, ...]) -> tuple[int, ...]:
-        return _xor_columns(second, _xor_columns(first, padded))
+        def step(padded: tuple[int, ...]) -> tuple[int, ...]:
+            return _xor_columns(second, _xor_columns(first, padded))
 
-    return step
+        return step
+
+    first = _xor_pass([slots[0][:split], *slots[1:], ()], 0)
+    tail = itemgetter(*slots[0][split:])
+
+    def folded(padded: tuple[int, ...]) -> tuple[int, ...]:
+        sums = _xor_columns(first, padded)
+        return _xor_columns(second, (sums[0] ^ reduce(xor, tail(padded)), *sums[1:]))
+
+    return folded
 
 
 def _cut_slots(g: Graph) -> list[tuple[int, ...]]:
@@ -258,7 +275,8 @@ class _Builder:
     module docstring), so it never holds more than m + 2 values.
     After any call, done tells whether the spectrum is complete: every
     row is dead, or the cap was reached with rows still alive, which
-    sets truncated.  spectrum() runs the loop to the end.
+    sets truncated.  spectrum() runs the loop to the end.  factor()
+    builds the level step, on the first step past the base level.
     """
 
     def __init__(
@@ -266,7 +284,7 @@ class _Builder:
         kind: str,
         g: Graph,
         base: tuple[EdgeSet, ...],
-        slots: Callable[[], Sequence[Sequence[int]]],
+        factor: Callable[[], Callable[[tuple[int, ...]], tuple[int, ...]]],
         level_cap: int | None,
     ) -> None:
         if level_cap is not None and level_cap < 1:
@@ -286,7 +304,7 @@ class _Builder:
         self._live = [(e, {0, r}) for e, r in enumerate(matrix, start=1) if r]
         self.truncated = False
         self._cap = level_cap
-        self._slots = slots
+        self._factor = factor
         self._step = None
         self._padded = (0, *matrix)
 
@@ -305,7 +323,7 @@ class _Builder:
             if until is not None and len(rows) >= until:
                 break
             if step is None:
-                step = _factor_step(m, self._slots())
+                step = self._factor()
                 # the factor must reproduce the base: M·I = M
                 assert step((0, *(1 << i for i in range(m)))) == padded
             padded = step(padded)
@@ -346,7 +364,9 @@ def _check_nonseparable(g: Graph) -> None:
 
 def _cut_builder(g: Graph, level_cap: int | None) -> _Builder:
     """Cut spectrum builder without the nonseparability gate."""
-    return _Builder("cut", g, base_edge_cuts(g), lambda: _cut_slots(g), level_cap)
+    return _Builder(
+        "cut", g, base_edge_cuts(g), lambda: _factor_step(g.m, _cut_slots(g)), level_cap
+    )
 
 
 def build_cut_spectrum(g: Graph, level_cap: int | None = None) -> Spectrum:
@@ -404,7 +424,7 @@ def _cycle_spectrum(
         "cycle",
         g,
         base_edge_cycles(g, cycles),
-        lambda: _cycle_slots(g, cycles),
+        lambda: _factor_step(g.m, _cycle_slots(g, cycles), fold_tail=True),
         level_cap,
     ).spectrum()
 

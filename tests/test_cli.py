@@ -4,20 +4,66 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+import edgespec
 from edgespec import emit_grf, relabel
 from edgespec.cli import main
 
 import fixtures as fx
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved as written
+    exception: BaseException | None
+
+
+class _Tee(io.StringIO):
+    def __init__(self, both: io.StringIO) -> None:
+        super().__init__()
+        self.both = both
+
+    def write(self, s: str) -> int:
+        self.both.write(s)
+        return super().write(s)
+
+
+class Runner:
+    """Runs the CLI in-process on a command line, with stdin, stdout and
+    stderr swapped for string buffers."""
+
+    def invoke(self, cli, args, input=None) -> Result:
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        stdin, sys.stdin = sys.stdin, io.StringIO(input or "")
+        code, exception = 0, None
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                cli.main(args)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+            exception = exc if code != 0 else None
+        except Exception as exc:
+            code, exception = 1, exc
+        finally:
+            sys.stdin = stdin
+        return Result(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write(tmp_path, name, text):
@@ -397,3 +443,78 @@ class TestContract:
         r = runner.invoke(main, [*argv(command, path), "--format", "machine"])
         assert r.exit_code == 0
         assert isinstance(json.loads(r.stdout), dict)
+
+
+SEVEN = ("invariant", "compare", "cycles", "spectrum", "orbits", "linegraph", "tree")
+
+
+class TestUsage:
+    """Usage errors exit 2 with argparse's message on stderr."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["frobnicate", "g.grf"],
+            ["invariant"],
+            ["invariant", "g.grf", "--format", "xml"],
+            ["invariant", "g.grf", "--max-levels", "x"],
+            ["invariant", "g.grf", "--max", "2"],
+        ],
+        ids=["unknown-command", "missing-path", "bad-format", "bad-int", "abbreviation"],
+    )
+    def test_usage_error_exits_2(self, runner, tmp_path, args):
+        grf_file(tmp_path, "g.grf", fx.k_n(4))
+        argv = [str(tmp_path / a) if a.endswith(".grf") else a for a in args]
+        r = runner.invoke(main, argv)
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("usage: edgespec")
+
+    def test_help_names_every_command(self, runner):
+        r = runner.invoke(main, ["--help"])
+        assert r.exit_code == 0
+        assert all(command in r.stdout for command in SEVEN)
+        assert sorted(SEVEN) == COMMANDS
+
+    def test_compare_help_names_the_brute_force_limit(self, runner):
+        r = runner.invoke(main, ["compare", "--help"])
+        assert r.exit_code == 0
+        assert "--brute-force-limit" in r.stdout
+
+
+def child(*args, env=None):
+    """``python args`` in a child process that imports this edgespec."""
+    src = str(Path(edgespec.__file__).parents[1])
+    return subprocess.Popen(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+
+
+class TestConsole:
+    """The module run as a program, with real standard streams."""
+
+    def test_import_loads_no_click(self):
+        with child("-c", "import sys, edgespec.cli; print('click' in sys.modules)") as proc:
+            out, _ = proc.communicate(timeout=60)
+        assert out == b"False\n"
+
+    def test_ascii_stdout_prints_utf8(self, tmp_path):
+        path = write(tmp_path, "g.edges", "1 2\n2 3\n1 3\n")
+        with child("-m", "edgespec.cli", "invariant", path, env={"PYTHONIOENCODING": "ascii"}) as proc:
+            out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert "IS: (3×2) & (3×4)\n".encode() in out
+        assert err == b""
+
+    def test_closed_pipe_exits_1_quietly(self, tmp_path):
+        # about 450 kB of output, far past what the pipe buffers
+        path = grf_file(tmp_path, "grid.grf", fx.grid(10, 10))
+        with child("-m", "edgespec.cli", "spectrum", path, "--max-levels", "40") as proc:
+            assert proc.stdout.readline() == b"cut spectrum: 16 levels\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""

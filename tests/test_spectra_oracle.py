@@ -256,6 +256,74 @@ def test_k4_has_an_empty_rim():
     assert spectra._cycle_slots(g, isometric_cycles(g))[-1] == ()
 
 
+# The cycle factor XORs the part of its longest slot past the second
+# longest, usually the rim, by one gather and reduce.  The fold is exact
+# for any slots; the cut factor keeps its columns.
+
+
+def wheel(k):
+    rim = [(v, v + 1) for v in range(2, k + 1)] + [(2, k + 1)]
+    return graph_from_edges(k + 1, sorted([(1, v) for v in range(2, k + 2)] + rim))
+
+
+def assert_folded_factors_give_the_bases(g):
+    cycles = isometric_cycles(g)
+    identity = (0, *(1 << i for i in range(g.m)))
+    for slots, base in (
+        (spectra._cut_slots(g), base_edge_cuts(g)),
+        (spectra._cycle_slots(g, cycles), base_edge_cycles(g, cycles)),
+    ):
+        step = spectra._factor_step(g.m, slots, fold_tail=True)
+        assert step(identity) == (0, *(b.bits for b in base))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_folded_factor_step_on_the_identity_gives_the_bases(seed):
+    rng = Random(seed)
+    assert_folded_factors_give_the_bases(fx.random_nonseparable(rng))
+    assert_folded_factors_give_the_bases(random_tree(rng))
+    assert_folded_factors_give_the_bases(wheel(rng.randint(3, 12)))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [fx.k2, lambda: star(8), lambda: fx.k_n(4), fx.rook_4x4, fx.g_12v35e, fx.petersen],
+    ids=["k2", "star_1_8", "k4", "rook_4x4", "g_12v35e", "petersen"],
+)
+def test_folded_factor_step_gives_the_bases_on_fixtures(graph):
+    assert_folded_factors_give_the_bases(graph())
+
+
+def pass_one_groups(monkeypatch, build):
+    """The slot groups of each pass one that build() makes."""
+    real, made = spectra._xor_pass, []
+
+    def recording(groups, spare):
+        if spare == 0:
+            made.append([tuple(grp) for grp in groups])
+        return real(groups, spare)
+
+    monkeypatch.setattr(spectra, "_xor_pass", recording)
+    build()
+    return made
+
+
+def test_cut_factor_keeps_a_column_per_hub_edge(monkeypatch):
+    g = wheel(12)
+    made = pass_one_groups(monkeypatch, lambda: build_cut_spectrum(g, 3))
+    assert made == [[*sorted(spectra._cut_slots(g), key=len, reverse=True), ()]]
+
+
+def test_rim_past_the_cycles_is_folded(monkeypatch):
+    g = fx.rook_4x4()
+    slots = spectra._cycle_slots(g, isometric_cycles(g))
+    assert max(map(len, slots)) == g.m
+    (groups,) = pass_one_groups(monkeypatch, lambda: build_cycle_spectrum(g, None))
+    assert len(groups) == len(slots) + 1
+    assert len(groups[0]) == len(groups[1]) == 4
+
+
 def test_star_matches_reference():
     g = star(8)
     for cap in CUT_CAPS:
