@@ -216,7 +216,7 @@ def spectrum(path: str, kind: str, max_levels: int | None, fmt: str) -> None:
         else build_cycle_spectrum(g, cap)
     )
     xi = spectrum_edge_weights(spec)
-    zeta = vertex_weights(spec, xi)
+    zeta = vertex_weights(spec)
     if fmt == "machine":
         payload = {
             "kind": spec.kind,
@@ -389,7 +389,7 @@ class _Main:
         usage text always names ``edgespec``.  In standalone mode, the
         console script's, a command that returns exits 0, an ASCII-only
         standard stream is switched to UTF-8 so that "×" prints, and a
-        reader closing the pipe early exits 1 without a traceback.
+        reader closing the pipe early exits 2 without a traceback.
         Otherwise a command that returns returns, and only exits 1 and 2
         raise ``SystemExit``.
         """
@@ -411,7 +411,7 @@ class _Main:
                 raise
             # stdout goes to /dev/null so that the flush at exit cannot fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(1)
+            sys.exit(2)
         if standalone_mode:
             sys.exit(0)
 

@@ -8,9 +8,10 @@ an exhaustive search settles the question.
 
 The cut spectra of the two graphs are built in lockstep through the
 resumable builder of spectra.  Both grow by 1, 2, 4, ... levels at a
-time, and each new common level is weighed and compared before the next
-chunk is built, so a pair that first differs at level l builds fewer
-than 2(l + 1) levels of each instead of both spectra to the end.
+time, and each new common level is compared before the next chunk is
+built, so a pair that first differs at level l builds fewer than
+2(l + 1) levels of each instead of both spectra to the end.  Every path
+here reads the weights its builders record and keeps no spectrum rows.
 """
 
 from __future__ import annotations
@@ -23,21 +24,15 @@ from .errors import LimitExceeded, NotAPermutation, NotATree
 from .graphs import Graph, build_graph
 from .isometric import isometric_cycles
 from .linegraph import digital_invariant_IL, line_cycle_weights
-# _cycle_spectrum skips the nonseparability check: each caller here built
-# the same graph's cut spectrum first, which checked it
+# neither builder checks nonseparability: each caller here checks the
+# graph before it builds its cut spectrum
 from .spectra import (
     Invariant,
     SpectrumInvariant,
     _check_nonseparable,
     _cut_builder,
-    _cycle_spectrum,
-    _level_weights,
+    _cycle_builder,
     _total_invariant,
-    build_cut_spectrum,
-    cut_spectrum_unchecked,
-    spectrum_edge_weights,
-    spectrum_invariant,
-    vertex_weights,
 )
 
 
@@ -52,7 +47,7 @@ def tree_invariant(t: Graph) -> SpectrumInvariant:
     """
     if not is_tree(t):
         raise NotATree(f"graph has {t.m} edges on {t.n} vertices")
-    return spectrum_invariant(cut_spectrum_unchecked(t, None))
+    return _cut_builder(t, None).invariant()
 
 
 @dataclass(frozen=True)
@@ -84,9 +79,9 @@ def integral_invariant(
     """Integral invariant; trees route to the uncapped tree mode."""
     if is_tree(g):
         return IntegralInvariant(tree_invariant(g), None, None)
-    cut = spectrum_invariant(build_cut_spectrum(g, max_levels))
-    cycles = isometric_cycles(g, limit)
-    cyc = spectrum_invariant(_cycle_spectrum(g, 1, cycles))
+    _check_nonseparable(g)
+    cut = _cut_builder(g, max_levels).invariant()
+    cyc = _cycle_builder(g, 1, isometric_cycles(g, limit)).invariant()
     line = digital_invariant_IL(g, limit) if with_line else None
     return IntegralInvariant(cut, cyc, line)
 
@@ -121,35 +116,32 @@ def _cut_witness(g: Graph, h: Graph, max_levels: int | None) -> str | None:
     """The first cut-spectrum witness that separates g and h, or None.
 
     Both spectra grow in lockstep, by 1, 2, 4, ... levels at a time, and
-    each new common level is weighed once per graph and compared, so a
-    pair that differs at level l builds fewer than 2(l + 1) levels of
-    each.  When one spectrum ends the other is built to its end: the
-    level counts and the totals need every level.
+    each new common level's weights are compared, so a pair that differs
+    at level l builds fewer than 2(l + 1) levels of each.  When one
+    spectrum ends the other is built to its end: the level counts and the
+    totals need every level.
     """
     for x in (g, h):
         _check_nonseparable(x)
-    builders = (_cut_builder(g, max_levels), _cut_builder(h, max_levels))
-    weights: tuple[list, list] = ([], [])
-    chunk = 1
+    gb, hb = _cut_builder(g, max_levels), _cut_builder(h, max_levels)
+    compared, chunk = 0, 1
     while True:
-        compared = len(weights[0])
-        for b in builders:
+        for b in (gb, hb):
             b.extend(compared + chunk)
-        for l in range(compared, min(len(b.rows) for b in builders)):
-            level = []
-            for b, w in zip(builders, weights):
-                w.append(_level_weights(b.graph, b.rows[l], b.alives[l]))
-                level.append(Invariant.from_weights(*w[l]))
-            if level[0] != level[1]:
+        for l in range(compared, min(len(gb.weights), len(hb.weights))):
+            if Invariant.from_weights(*gb.weights[l]) != Invariant.from_weights(*hb.weights[l]):
                 return f"cut spectrum level {l} invariant"
-        if builders[0].done or builders[1].done:
+        if gb.done or hb.done:
             break
+        # neither is done, so both hold exactly the levels asked for
+        compared += chunk
         chunk *= 2
-    gi, hi = (b.spectrum() for b in builders)
-    if (gi.level_count, gi.truncated) != (hi.level_count, hi.truncated):
-        return f"cut spectrum level count {gi.level_count} vs {hi.level_count}"
-    # equal level counts mean equal lengths, so every level is weighed
-    if _total_invariant(weights[0]) != _total_invariant(weights[1]):
+    for b in (gb, hb):
+        b.extend(None)
+    if (gb.level_count, gb.truncated) != (hb.level_count, hb.truncated):
+        return f"cut spectrum level count {gb.level_count} vs {hb.level_count}"
+    # equal level counts mean equal lengths, so every level was compared
+    if _total_invariant(gb.weights) != _total_invariant(hb.weights):
         return "cut spectrum total invariant"
     return None
 
@@ -176,8 +168,8 @@ def compare_graphs(
     witness = _cut_witness(g, h, max_levels)
     if witness is not None:
         return _not_iso(witness)
-    gc = spectrum_invariant(_cycle_spectrum(g, 1, isometric_cycles(g, limit)))
-    hc = spectrum_invariant(_cycle_spectrum(h, 1, isometric_cycles(h, limit)))
+    gc = _cycle_builder(g, 1, isometric_cycles(g, limit)).invariant()
+    hc = _cycle_builder(h, 1, isometric_cycles(h, limit)).invariant()
     if gc != hc:
         return _not_iso("cycle spectrum base invariant")
     if with_line:
@@ -211,10 +203,9 @@ def vertex_orbit_partition(
     limit: int = 10**6,
 ) -> OrbitPartition:
     """Group vertices by their cut, cycle, and optional line weight signatures."""
-    cut = build_cut_spectrum(g, max_levels)
-    zeta_cut = vertex_weights(cut, spectrum_edge_weights(cut))
-    cyc = _cycle_spectrum(g, 1, isometric_cycles(g, limit))
-    zeta_cyc = vertex_weights(cyc, spectrum_edge_weights(cyc))
+    _check_nonseparable(g)
+    zeta_cut = _cut_builder(g, max_levels).vertex_weights()
+    zeta_cyc = _cycle_builder(g, 1, isometric_cycles(g, limit)).vertex_weights()
     line_part = line_cycle_weights(g, limit)[1] if with_line else None
     signatures = []
     for v in g.vertices:

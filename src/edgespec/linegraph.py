@@ -46,7 +46,7 @@ from typing import Iterable
 
 from .graphs import EdgeSet, Graph, build_graph
 from .isometric import in_id_order, isometric_cycles, line_cycle_masks
-from .spectra import Invariant
+from .spectra import Invariant, _vertex_sums
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,7 @@ def line_weights(g: Graph, images: Iterable[Iterable[int]]) -> tuple[list[int], 
     for image in images:
         for e in image:
             xi[e - 1] += 1
-    zeta = [sum(xi[e - 1] for e in g.incident_edges(v)) for v in g.vertices]
-    return xi, zeta
+    return xi, _vertex_sums(g, xi)
 
 
 def line_cycle_weights(g: Graph, limit: int = 10**6) -> tuple[list[int], list[int]]:
@@ -154,8 +153,7 @@ def line_cycle_weights(g: Graph, limit: int = 10**6) -> tuple[list[int], list[in
         comb(deg[u - 1] - 1, 2) + comb(deg[v - 1] - 1, 2) + (row >> e & lowest).bit_count()
         for e, (u, v) in enumerate(g.edges)
     ]
-    zeta = [sum(xi[e - 1] for e in g.incident_edges(v)) for v in g.vertices]
-    return xi, zeta
+    return xi, _vertex_sums(g, xi)
 
 
 def digital_invariant_IL(g: Graph, limit: int = 10**6) -> Invariant:

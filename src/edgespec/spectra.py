@@ -30,13 +30,13 @@ it reaches zero, if ever, by then too.  On the cubic graphs of the
 benchmark's cut_deep workload the adds were about a quarter of a level's
 build time, and the sets would otherwise hold one value per level.
 
-The level loop is resumable.  A _Builder holds one spectrum's rows,
-alive masks, live rows with the values each has held, and factor step;
-extend(until) runs the loop until `until` levels exist, the cap is
-reached or every row is dead, and a later call carries on from there.
-A Spectrum is a builder run to the end.  The compare cascade in engine
-extends two builders in lockstep and stops at the first level whose
-invariants differ.  Both weigh each level once, through _level_weights.
+The level loop is resumable, and the only place a level is weighed: a
+_Builder records each level's (xi, zeta) through _level_weights as it
+closes the level and keeps only the last level's rows, all the next step
+needs.  Only spectrum() keeps every level's rows, for a Spectrum, which
+carries the recorded weights too; a deep spectrum's rows outweigh its
+weights and per-level invariants together.  The engine reads builder
+weights; its compare cascade stops at the first level that differs.
 """
 
 from __future__ import annotations
@@ -45,13 +45,14 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, zip_longest
 from operator import itemgetter, xor
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import NotNonseparable, VertexOutOfRange
 from .graphs import EdgeSet, Graph, central_cut, is_nonseparable
 from .isometric import isometric_cycles
 
 Cell = EdgeSet | None
+Weights = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def rle(values: Sequence[int]) -> str:
@@ -96,7 +97,8 @@ class Spectrum:
     """Iterated gamma table over a base of per-edge summands.
 
     rows[l][e - 1] is row e of M^(l+1); bit e - 1 of alive[l] is set while
-    that row lives.  levels, cell and row show dead rows as None.
+    that row lives, and weights[l] is level l's (xi, zeta).  levels, cell
+    and row show dead rows as None.
     """
 
     kind: str
@@ -104,6 +106,7 @@ class Spectrum:
     rows: tuple[tuple[int, ...], ...]
     alive: tuple[int, ...]
     truncated: bool
+    weights: tuple[Weights, ...]
 
     @property
     def level_count(self) -> int:
@@ -196,7 +199,7 @@ def _xor_columns(columns: Sequence[itemgetter], seq: Sequence[int]) -> tuple[int
 
 
 def _factor_step(
-    m: int, slots: Sequence[Sequence[int]], fold_tail: bool = False
+    m: int, slots: Sequence[Sequence[int]]
 ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """Level step R -> M·R for a base M = W·Wᵀ over GF(2), where each slot
     lists the edge ids in one column of the sparse factor W.
@@ -206,10 +209,10 @@ def _factor_step(
     pass two XORs, for each edge, the sums of the slots that hold it.
     That is about two XORs per entry of W, 3m for the cut factor.
 
-    With fold_tail, the part of the longest slot past the second longest
-    is XORed by one gather and reduce, not by one two-entry column of pass
-    one per entry; the cycle factor's rim can be m long where its cycles
-    are a few edges.
+    A longest slot at least 2 longer than the second longest has its tail
+    past that XORed by one gather and reduce, not by one two-entry column
+    of pass one per entry: the cycle factor's rim, or a hub's edges, can
+    be m long where the other slots hold a few edges.
     """
     # longest first, so pass one's later columns cover a prefix of the
     # slots; the empty group at the end gives sums its zero
@@ -220,7 +223,7 @@ def _factor_step(
             holders[e].append(s)
     second = _xor_pass(holders, len(slots))
     split = len(slots[1]) if len(slots) > 1 else 0
-    if not fold_tail or len(slots[0]) - split < 2:
+    if len(slots[0]) - split < 2:
         first = _xor_pass([*slots, ()], 0)
 
         def step(padded: tuple[int, ...]) -> tuple[int, ...]:
@@ -268,15 +271,15 @@ class _Builder:
     """The level loop of one spectrum, resumable.
 
     extend(until) runs the loop until `until` levels exist (every level
-    for None), the level cap is reached or every row is dead, and keeps
-    the rows, alive masks, live sets and factor step for the next call.
-    Each live row's set of held values grows through level m and is only
-    read after that, when every row runs purely periodically (see the
-    module docstring), so it never holds more than m + 2 values.
-    After any call, done tells whether the spectrum is complete: every
-    row is dead, or the cap was reached with rows still alive, which
-    sets truncated.  spectrum() runs the loop to the end.  factor()
-    builds the level step, on the first step past the base level.
+    for None), the level cap is reached or every row is dead, appends each
+    new level's (xi, zeta) to weights, and keeps the last rows, alive mask,
+    live sets and factor step for the next call.  Each live row's set of
+    held values grows through level m and is only read after that, when
+    every row runs purely periodically (see the module docstring), so it
+    never holds more than m + 2 values.  After any call, done tells
+    whether the spectrum is complete: every row is dead, or the cap was
+    reached with rows still alive, which sets truncated.  factor() builds
+    the level step, on the first step past the base level.
     """
 
     def __init__(
@@ -295,9 +298,8 @@ class _Builder:
         assert _symmetric_with_empty_diagonal(matrix)
         self.kind = kind
         self.graph = g
-        self.rows = [matrix]
         self.alive = sum(1 << i for i, r in enumerate(matrix) if r)
-        self.alives = [self.alive]
+        self.weights = [_level_weights(g, matrix, self.alive)]
         # a row dies on reaching zero or any value it has held before; live
         # pairs each live row's edge id with zero and the values it has
         # held, through level m
@@ -307,20 +309,26 @@ class _Builder:
         self._factor = factor
         self._step = None
         self._padded = (0, *matrix)
+        self._kept: list[tuple[tuple[int, ...], int]] | None = None
 
     @property
     def done(self) -> bool:
         return self.truncated or not self.alive
 
+    @property
+    def level_count(self) -> int:
+        # only the base can lack a live row, and a live base row e has xi(e) > 0
+        return len(self.weights) if any(self.weights[0][0]) else 0
+
     def extend(self, until: int | None) -> None:
-        rows, alives, live = self.rows, self.alives, self._live
+        weights, live, kept = self.weights, self._live, self._kept
         alive, step, padded, cap = self.alive, self._step, self._padded, self._cap
         m = self.graph.m
         while alive:
-            if cap is not None and len(rows) >= cap:
+            if cap is not None and len(weights) >= cap:
                 self.truncated = True
                 break
-            if until is not None and len(rows) >= until:
+            if until is not None and len(weights) >= until:
                 break
             if step is None:
                 step = self._factor()
@@ -328,7 +336,7 @@ class _Builder:
                 assert step((0, *(1 << i for i in range(m)))) == padded
             padded = step(padded)
             dead = 0
-            if len(rows) <= m:
+            if len(weights) <= m:
                 for e, seen in live:
                     r = padded[e]
                     if r in seen:
@@ -345,15 +353,26 @@ class _Builder:
                 if not alive:
                     break
                 live = [(e, seen) for e, seen in live if (alive >> (e - 1)) & 1]
-            rows.append(padded[1:])
-            alives.append(alive)
+            rows = padded[1:]
+            weights.append(_level_weights(self.graph, rows, alive))
+            if kept is not None:
+                kept.append((rows, alive))
         self.alive, self._step, self._padded, self._live = alive, step, padded, live
 
     def spectrum(self) -> Spectrum:
+        """Run a fresh builder to the end, keeping every level's rows."""
+        self._kept = [(self._padded[1:], self.alive)]
         self.extend(None)
-        return Spectrum(
-            self.kind, self.graph, tuple(self.rows), tuple(self.alives), self.truncated
-        )
+        rows, alive = zip(*self._kept)
+        return Spectrum(self.kind, self.graph, rows, alive, self.truncated, tuple(self.weights))
+
+    def invariant(self) -> SpectrumInvariant:
+        self.extend(None)
+        return spectrum_invariant(self)
+
+    def vertex_weights(self) -> LevelWeights:
+        self.extend(None)
+        return vertex_weights(self)
 
 
 def _check_nonseparable(g: Graph) -> None:
@@ -413,20 +432,20 @@ def base_edge_cycles(
     return tuple(out)
 
 
-def _cycle_spectrum(
+def _cycle_builder(
     g: Graph, level_cap: int | None, cycles: tuple[EdgeSet, ...] | None
-) -> Spectrum:
-    """Cycle spectrum without the nonseparability gate, for callers that
-    checked g when they built its cut spectrum."""
+) -> _Builder:
+    """Cycle spectrum builder without the nonseparability gate, for callers
+    that checked g when they built its cut spectrum."""
     if cycles is None:
         cycles = isometric_cycles(g)
     return _Builder(
         "cycle",
         g,
         base_edge_cycles(g, cycles),
-        lambda: _factor_step(g.m, _cycle_slots(g, cycles), fold_tail=True),
+        lambda: _factor_step(g.m, _cycle_slots(g, cycles)),
         level_cap,
-    ).spectrum()
+    )
 
 
 def build_cycle_spectrum(
@@ -436,20 +455,7 @@ def build_cycle_spectrum(
 ) -> Spectrum:
     """Iterated gamma table over the base edge cycles of a nonseparable graph."""
     _check_nonseparable(g)
-    return _cycle_spectrum(g, level_cap, cycles)
-
-
-def spectrum_edge_weights(spec: Spectrum) -> LevelWeights:
-    """Column weights: xi_l(e) counts the level-l cells containing e.
-
-    M^(l+1) is symmetric, so xi_l(e) is the popcount of row e ANDed with
-    the mask of the rows alive at level l.
-    """
-    per_level = [
-        tuple((r & alive).bit_count() for r in rows)
-        for rows, alive in zip(spec.rows, spec.alive)
-    ]
-    return LevelWeights(tuple(per_level), tuple(map(sum, zip(*per_level))))
+    return _cycle_builder(g, level_cap, cycles).spectrum()
 
 
 def _vertex_sums(g: Graph, xi: Sequence[int]) -> list[int]:
@@ -462,22 +468,28 @@ def _vertex_sums(g: Graph, xi: Sequence[int]) -> list[int]:
     return zeta
 
 
-def vertex_weights(spec: Spectrum, edge_weights: LevelWeights | None = None) -> LevelWeights:
-    """zeta_l(v): sum of xi_l over the edges incident to v."""
-    if edge_weights is None:
-        edge_weights = spectrum_edge_weights(spec)
-    per_level = [tuple(_vertex_sums(spec.graph, xi)) for xi in edge_weights.per_level]
-    return LevelWeights(tuple(per_level), tuple(map(sum, zip(*per_level))))
-
-
-Weights = tuple[list[int], list[int]]
-
-
 def _level_weights(g: Graph, rows: Sequence[int], alive: int) -> Weights:
-    """xi and zeta of one level, from its rows and alive mask; the spectrum
-    invariant and the compare cascade weigh every level through this."""
+    """xi and zeta of one level from its rows and alive mask: xi_l(e), the
+    level-l cells containing e, is row e's popcount masked by the alive rows."""
     xi = [(r & alive).bit_count() for r in rows]
-    return xi, _vertex_sums(g, xi)
+    return tuple(xi), tuple(_vertex_sums(g, xi))
+
+
+def _level_table(per_level: Iterable[tuple[int, ...]]) -> LevelWeights:
+    per_level = tuple(per_level)
+    return LevelWeights(per_level, tuple(map(sum, zip(*per_level))))
+
+
+def spectrum_edge_weights(spec: Spectrum | _Builder) -> LevelWeights:
+    """xi_l(e) for every level, as recorded with the spectrum."""
+    return _level_table(xi for xi, _ in spec.weights)
+
+
+def vertex_weights(
+    spec: Spectrum | _Builder, edge_weights: LevelWeights | None = None
+) -> LevelWeights:
+    """zeta_l(v), xi_l summed at v, as recorded; edge_weights is not read."""
+    return _level_table(zeta for _, zeta in spec.weights)
 
 
 def _total_invariant(weights: Sequence[Weights]) -> Invariant:
@@ -506,17 +518,14 @@ class SpectrumInvariant:
         return str(self.total)
 
 
-def spectrum_invariant(spec: Spectrum) -> SpectrumInvariant:
-    weights = [
-        _level_weights(spec.graph, rows, alive)
-        for rows, alive in zip(spec.rows, spec.alive)
-    ]
+def spectrum_invariant(spec: Spectrum | _Builder) -> SpectrumInvariant:
+    """Invariant of a spectrum, or of a builder run to its end."""
     return SpectrumInvariant(
         spec.kind,
         spec.level_count,
         spec.truncated,
-        _total_invariant(weights),
-        tuple(Invariant.from_weights(xi, zeta) for xi, zeta in weights),
+        _total_invariant(spec.weights),
+        tuple(Invariant.from_weights(xi, zeta) for xi, zeta in spec.weights),
     )
 
 

@@ -15,7 +15,7 @@ from edgespec import (
     graph_from_edges,
     relabel,
 )
-from edgespec import engine, spectra
+from edgespec import spectra
 
 import compare_reference as ref
 import fixtures as fx
@@ -217,7 +217,6 @@ def test_agreeing_pair_weighs_each_built_level_once(monkeypatch, n, seed, cap):
         return real(graph, rows, alive)
 
     monkeypatch.setattr(spectra, "_level_weights", counted)
-    monkeypatch.setattr(engine, "_level_weights", counted)
     r = compare_graphs(g, h, max_levels=cap)
     assert r.witness is None
     # every cut level, plus the base level of the cycle spectrum
@@ -241,7 +240,6 @@ def test_total_witness_matches_reference(monkeypatch):
         return xi, zeta
 
     monkeypatch.setattr(spectra, "_level_weights", skewed)
-    monkeypatch.setattr(engine, "_level_weights", skewed)
     expected = ref.compare(g, h)
     assert expected.witness == "cut spectrum total invariant"
     assert compare_graphs(g, h) == expected

@@ -1,5 +1,8 @@
 """Comparison cascade, integral invariant, orbits, brute force, relabeling."""
 
+import tracemalloc
+from random import Random
+
 import pytest
 
 import edgespec.isometric
@@ -273,3 +276,54 @@ def test_line_invariant_computes_the_distance_table_once(monkeypatch):
 def test_limit_bounds_the_isometric_enumeration(run):
     with pytest.raises(CandidateOverflow, match="^101 route pairs exceed limit 100$"):
         run(fx.hypercube(5), limit=100)
+
+
+# The engine reads the weights its builders record as they close each
+# level; only a Spectrum keeps every level's rows, and no engine path
+# makes one.
+
+
+def test_engine_paths_build_no_spectrum(monkeypatch):
+    g = fx.g_16v30e_a()
+    h = relabel(g, list(range(16, 0, -1)))
+    # reversing h's level-1 weights keeps each level's corteges and
+    # changes the totals, which gives a total witness
+    level_1 = edgespec.spectra.build_cut_spectrum(h).rows[1]
+    real = edgespec.spectra._level_weights
+
+    def skewed(graph, rows, alive):
+        xi, zeta = real(graph, rows, alive)
+        if graph is h and rows == level_1:
+            return xi[::-1], zeta[::-1]
+        return xi, zeta
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("an engine path built a Spectrum")
+
+    monkeypatch.setattr(edgespec.spectra, "_level_weights", skewed)
+    monkeypatch.setattr(edgespec.spectra, "Spectrum", no_spectrum)
+    assert str(integral_invariant(fx.prism())) == fx.PRISM_INTEGRAL
+    assert str(tree_invariant(fx.spider_tree())) == fx.SPIDER_IT
+    level = compare_graphs(fx.rook_4x4(), fx.shrikhande())
+    assert level.witness == "cut spectrum level 1 invariant"
+    count = compare_graphs(fx.k33(), fx.prism())
+    assert count.witness == "cut spectrum level count 1 vs 2"
+    cycle = compare_graphs(fx.k33(), fx.prism(), max_levels=1)
+    assert cycle.witness == "cycle spectrum base invariant"
+    assert compare_graphs(g, h).witness == "cut spectrum total invariant"
+    assert compare_graphs(g, relabel(g, list(range(1, 17)))).witness is None
+    assert vertex_orbit_partition(fx.petersen()).groups == (tuple(range(1, 11)),)
+
+
+def test_deep_invariant_keeps_weights_not_rows():
+    # 2,555 cut levels on 42 edges: the rows alone take about 1.7 KiB a
+    # level, the weights and the per-level corteges about 1.5 KiB
+    g = fx.random_cubic(Random(4), 28)
+    tracemalloc.start()
+    try:
+        inv = integral_invariant(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inv.cut.level_count == 2555
+    assert peak < 2 * 1024 * inv.cut.level_count

@@ -256,9 +256,10 @@ def test_k4_has_an_empty_rim():
     assert spectra._cycle_slots(g, isometric_cycles(g))[-1] == ()
 
 
-# The cycle factor XORs the part of its longest slot past the second
-# longest, usually the rim, by one gather and reduce.  The fold is exact
-# for any slots; the cut factor keeps its columns.
+# A factor XORs the part of its longest slot past the second longest, the
+# cycle factor's rim or the cut factor's hub vertex, by one gather and
+# reduce when that part holds two edges or more.  The fold is exact for
+# any slots.
 
 
 def wheel(k):
@@ -273,7 +274,7 @@ def assert_folded_factors_give_the_bases(g):
         (spectra._cut_slots(g), base_edge_cuts(g)),
         (spectra._cycle_slots(g, cycles), base_edge_cycles(g, cycles)),
     ):
-        step = spectra._factor_step(g.m, slots, fold_tail=True)
+        step = spectra._factor_step(g.m, slots)
         assert step(identity) == (0, *(b.bits for b in base))
 
 
@@ -309,10 +310,12 @@ def pass_one_groups(monkeypatch, build):
     return made
 
 
-def test_cut_factor_keeps_a_column_per_hub_edge(monkeypatch):
+def test_cut_pass_one_folds_the_hub(monkeypatch):
     g = wheel(12)
+    hub, *rest = sorted(spectra._cut_slots(g), key=len, reverse=True)
+    assert (len(hub), len(rest[0])) == (12, 3)
     made = pass_one_groups(monkeypatch, lambda: build_cut_spectrum(g, 3))
-    assert made == [[*sorted(spectra._cut_slots(g), key=len, reverse=True), ()]]
+    assert made == [[hub[:3], *rest, ()]]
 
 
 def test_rim_past_the_cycles_is_folded(monkeypatch):
@@ -432,7 +435,7 @@ def test_held_values_stop_growing_after_level_m(n, seed):
     g = fx.random_cubic(Random(seed), n)
     builder = spectra._cut_builder(g, None)
     builder.extend(g.m + 8)
-    assert len(builder.rows) == g.m + 8
+    assert len(builder.weights) == g.m + 8
     assert builder._live
     # zero and one distinct value for each of the levels 0..m
     assert all(len(held) == g.m + 2 for _, held in builder._live)
