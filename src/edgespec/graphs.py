@@ -110,7 +110,7 @@ def ring_sum(a: EdgeSet, b: EdgeSet) -> EdgeSet:
 class Graph:
     """Immutable simple undirected graph with 1-based vertex and edge ids."""
 
-    __slots__ = ("n", "m", "edges", "_adj", "_inc", "_eid", "_dist")
+    __slots__ = ("n", "m", "edges", "_adj", "_inc", "_eid", "_dist", "_spheres")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]) -> None:
         # edges must arrive validated and normalized (u < v), in id order
@@ -129,8 +129,9 @@ class Graph:
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(self, "_inc", tuple(tuple(sorted(i)) for i in inc))
         object.__setattr__(self, "_eid", eid)
-        # all_pairs_distances fills this on first use
+        # all_pairs_distances fills these on first use
         object.__setattr__(self, "_dist", None)
+        object.__setattr__(self, "_spheres", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -300,24 +301,52 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     """BFS distance table; row and column 0 are -1 padding.
 
     The table is computed once per graph and kept on it, so every caller
-    of the same graph shares it.
+    of the same graph shares it.  The same BFS fills ``distance_spheres``.
     """
     if g._dist is not None:
         return g._dist
-    rows: list[tuple[int, ...]] = [tuple([-1] * (g.n + 1))]
+    n, adj = g.n, g._adj
+    rows: list[tuple[int, ...]] = [tuple([-1] * (n + 1))]
+    spheres: list[list[int]] = [[]]
     for s in g.vertices:
-        dist = [-1] * (g.n + 1)
+        dist = [-1] * (n + 1)
         dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g._adj[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
+        wave = [s]
+        at = [1 << s]
+        d = 0
+        while wave:
+            d += 1
+            nxt = []
+            mask = 0
+            for v in wave:
+                for u in adj[v]:
+                    if dist[u] < 0:
+                        dist[u] = d
+                        nxt.append(u)
+                        mask |= 1 << u
+            at.append(mask)
+            wave = nxt
         rows.append(tuple(dist))
+        spheres.append(at)
+    # every row ends in an empty sphere; pad them all to the longest
+    width = max(map(len, spheres))
+    object.__setattr__(
+        g, "_spheres", tuple(tuple(at + [0] * (width - len(at))) for at in spheres)
+    )
     object.__setattr__(g, "_dist", tuple(rows))
     return g._dist
+
+
+def distance_spheres(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """spheres[v][d]: bit mask of the vertices at distance exactly d from v
+    (bit u for vertex u), for d = 0..diameter + 1, the last always empty;
+    row 0 is padding.
+
+    Built by the BFS of ``all_pairs_distances`` and kept on the graph
+    beside its table.  spheres[v][1] is the neighbour mask of v."""
+    if g._spheres is None:
+        all_pairs_distances(g)
+    return g._spheres
 
 
 class NonseparableReport:

@@ -6,7 +6,9 @@ that holds exactly when every vertex is at distance floor(L/2) from its
 antipodes: a shortcut between two vertices also shortens the way from
 one of them to its antipode beyond the other.  The enumeration anchors
 every cycle at its smallest vertex and walks both of its halves down from
-the opposite vertex or edge together.  It settles each step with one or
+the opposite vertex or edge together, from those tops only that the
+anchor's neighbours, as the halves' last vertices, can close; distance
+sphere masks pick them a level at a time.  It settles each step with one or
 two distance probes per new vertex: against the antipodes once the other
 half reaches them, and against the neighbouring pair while the halves
 still form one geodesic through the top.
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterable
 
 from .errors import CandidateOverflow, NotACycle
-from .graphs import EdgeSet, Graph, all_pairs_distances
+from .graphs import EdgeSet, Graph, all_pairs_distances, distance_spheres
 
 
 def wave_labels(g: Graph, e: int, reverse: bool = False) -> tuple[int, ...]:
@@ -143,18 +147,39 @@ def _step_probes(k: int, off: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(rows)
 
 
+class _Below(dict):
+    """below[v]: the neighbours of v above the anchor w and one level nearer
+    it.  A list is made when a descent first reaches v."""
+
+    __slots__ = ("adj", "dw", "w")
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...], dw: tuple[int, ...], w: int) -> None:
+        self.adj, self.dw, self.w = adj, dw, w
+
+    def __missing__(self, v: int) -> list[int]:
+        w, dw = self.w, self.dw
+        d = dw[v] - 1
+        out = self[v] = [y for y in self.adj[v] if y > w and dw[y] == d]
+        return out
+
+
+def _overflow(limit: int) -> CandidateOverflow:
+    return CandidateOverflow(f"{limit + 1} route pairs exceed limit {limit}")
+
+
 def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     """All isometric cycles, ordered lexicographically by edge ids.
 
-    Every isometric cycle has one smallest vertex w.  Relative to w it has
-    one top at distance k from w: the vertex opposite w when its length is
-    2k (off = 0), the edge opposite w when its length is 2k+1 (off = 1).
-    Its halves are geodesics from the top down to w, so for each anchor w
-    and each top the search walks two routes a and b down one distance
-    level per step, through vertices above w.  A joined pair of routes is
-    an isometric cycle exactly when every cross pair (a_i, b_j) sits at
-    its distance along the cycle, min(i+j+off, L-i-j-off), and one or two
-    probes per new vertex settle all of its cross pairs (``_step_probes``):
+    Every isometric cycle has one smallest vertex w, its anchor.  Relative
+    to w it has one top at distance k from w: the vertex opposite w when
+    its length is 2k (off = 0), the edge opposite w when its length is
+    2k+1 (off = 1).  Its halves are geodesics from the top down to w, so
+    for each anchor w and each top the search walks two routes a and b
+    down one distance level per step, through vertices above w.  A joined
+    pair of routes is an isometric cycle exactly when every cross pair
+    (a_i, b_j) sits at its distance along the cycle, min(i+j+off,
+    L-i-j-off), and one or two probes per new vertex settle all of its
+    cross pairs (``_step_probes``):
 
     * while the cycle distance still grows, d(a_t, b_(t-1)) = 2t-1+off
       makes a_t..top..b_(t-1) a geodesic, so every pair on it is right,
@@ -166,63 +191,146 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
 
     So each step keeps exactly the candidate pairs whose cross pairs all
     match (a cycle is isometric when every vertex is at distance
-    floor(L/2) from its antipodes), and tries the same route pairs.  Even tops take a_1 < b_1, so each cycle is emitted once.
-    ``limit`` caps the candidate route pairs tried over the whole call and
-    raises CandidateOverflow beyond it."""
+    floor(L/2) from its antipodes).  Even tops take a_1 < b_1, so each
+    cycle is emitted once.
+
+    Before its descent a top must pass tests at the anchor's end, each
+    necessary for an isometric cycle through it.  Let y1 = a_(k-1) and
+    y2 = b_(k-1), the neighbours of w on the cycle.  They differ, so w
+    needs two neighbours above it, and each pair of those is tried:
+
+    * an even top x is at distance k - 1 from y1 and y2;
+    * an odd top uv has d(u, y1) = d(v, y2) = k - 1 and d(u, y2) =
+      d(v, y1) = k, because u and y2 are antipodes, as are v and y1;
+    * a_1, below the top's a end, is at distance k - 2 from y1 and k from
+      y2, because a_1 and y2 are antipodes; b_1 alike with y1 and y2
+      swapped.  So a_1 and b_1 differ.
+
+    A level at a time, bit masks of the spheres around w, y1 and y2
+    (``distance_spheres``) give where a top, a_1 and b_1 can lie; the
+    smaller of the a_1 and b_1 sets is spread to its neighbours, and each
+    top left needs a down-neighbour in the other.  At k = 1 every edge uv
+    between two neighbours of w above it closes the triangle w u v, which
+    its one route pair would confirm.  A top that fails closes no
+    isometric cycle, so the output is that of a descent from every top.
+    The last step, to w, always passes its probes, so it is taken when
+    the routes reach y1 and y2.  ``limit`` caps the candidate route pairs
+    tried over the whole call and raises CandidateOverflow beyond it."""
     dist = all_pairs_distances(g)
+    spheres = distance_spheres(g)
     edge_bit = _edge_bits(g)
+    adj = g._adj
     found: list[int] = []
     tried = 0
     for w in g.vertices:
-        dw = dist[w]
-        down = {
-            v: [y for y in g.adjacency(v) if y >= w and dw[y] == dw[v] - 1]
-            for v in range(w + 1, g.n + 1)
-        }
-        # a top with no route pair to try is skipped: an even top needs two
-        # down-neighbours (a_1 < b_1), so it lies at distance 2 or more
-        # from w, and an odd top needs one at each end
-        tops = [
-            (x, x, 0, _step_probes(dw[x], 0))
-            for x, below in down.items()
-            if len(below) >= 2
-        ]
-        tops += [
-            (u, v, 1 << (e - 1), _step_probes(dw[u], 1))
-            for e, (u, v) in enumerate(g.edges, start=1)
-            if u > w and dw[u] == dw[v] and down[u] and down[v]
-        ]
-        for p, q, bits, steps in tops:
+        ys = [y for y in adj[w] if y > w]
+        if len(ys) < 2:
+            continue
+        sw = spheres[w]
+        above = -2 << w  # the bits of the vertices above w
+        to_w = edge_bit[w]
+        # triangles w u v
+        for u in ys:
+            for v in adj[u]:
+                if v > u and sw[1] >> v & 1:
+                    tried += 1
+                    found.append(to_w[u] | to_w[v] | edge_bit[u][v])
+        if tried > limit:
+            raise _overflow(limit)
+        pairs = list(combinations([spheres[y] for y in ys], 2))
+        tops = []
+        for k in range(2, len(sw)):
+            level = sw[k] & above
+            # a route down from level k passes every level above w
+            if not level:
+                break
+            inner = sw[k - 1] & above
+            evens = odds = 0
+            for s1, s2 in pairs:
+                # an even top x at k - 1 from y1 and y2; an odd top uv with
+                # u at k - 1 from y1 and k from y2, and v the reverse
+                xs = level & s1[k - 1] & s2[k - 1]
+                us = level & s1[k - 1] & s2[k]
+                vs = level & s2[k - 1] & s1[k]
+                if not xs and not (us and vs):
+                    continue
+                # a_1 and b_1 for a_(k-1) = y1 and b_(k-1) = y2
+                a1 = inner & s1[k - 2] & s2[k]
+                b1 = inner & s2[k - 2] & s1[k]
+                if not a1 or not b1:
+                    continue
+                # spread the smaller of the two to its neighbours
+                if a1.bit_count() > b1.bit_count():
+                    a1, b1, us, vs = b1, a1, vs, us
+                reach = 0
+                while a1:
+                    low = a1 & -a1
+                    a1 ^= low
+                    reach |= spheres[low.bit_length() - 1][1]
+                xs &= reach
+                while xs:
+                    low = xs & -xs
+                    xs ^= low
+                    if spheres[low.bit_length() - 1][1] & b1:
+                        evens |= low
+                us &= reach
+                while us:
+                    low = us & -us
+                    us ^= low
+                    u = low.bit_length() - 1
+                    ends = spheres[u][1] & vs
+                    while ends:
+                        high = ends & -ends
+                        ends ^= high
+                        v = high.bit_length() - 1
+                        if spheres[v][1] & b1:
+                            odds |= edge_bit[u][v]
+            while evens:
+                low = evens & -evens
+                evens ^= low
+                x = low.bit_length() - 1
+                tops.append((x, x, 0, k))
+            while odds:
+                low = odds & -odds
+                odds ^= low
+                u, v = g.edges[low.bit_length() - 1]
+                tops.append((u, v, low, k))
+        below = _Below(adj, dist[w], w)
+        for p, q, bits, k in tops:
+            steps = _step_probes(k, p != q)
             stack = [((p,), (q,), bits)]
             while stack:
                 a, b, bits = stack.pop()
-                if a[-1] == w:
-                    found.append(bits)
-                    continue
                 t = len(a)
                 j1, j2, dj, dxy = steps[t]
                 db1, db2 = dist[b[j1]], dist[b[j2]]
                 da1, da2 = dist[a[j1]], dist[a[j2]]
                 bits_a, bits_b = edge_bit[a[-1]], edge_bit[b[-1]]
-                for x in down[a[-1]]:
+                # even top: a_1 < b_1; vertex ids start at 1
+                first = p == q and t == 1
+                last = t == k - 1
+                for x in below[a[-1]]:
                     if db1[x] != dj or db2[x] != dj:
                         continue
                     dx = dist[x]
-                    # even top: a_1 < b_1; vertex ids start at 1
-                    lowest = x if p == q and t == 1 else 0
-                    for y in down[b[-1]]:
+                    lowest = x if first else 0
+                    for y in below[b[-1]]:
                         if y <= lowest:
                             continue
                         tried += 1
                         if tried > limit:
-                            raise CandidateOverflow(
-                                f"{tried} route pairs exceed limit {limit}"
-                            )
+                            raise _overflow(limit)
                         if dx[y] != dxy or da1[y] != dj or da2[y] != dj:
                             continue
-                        stack.append(
-                            (a + (x,), b + (y,), bits | bits_a[x] | bits_b[y])
-                        )
+                        bits_xy = bits | bits_a[x] | bits_b[y]
+                        if last:
+                            # the step to w, (w, w), always passes its probes
+                            tried += 1
+                            if tried > limit:
+                                raise _overflow(limit)
+                            found.append(bits_xy | to_w[x] | to_w[y])
+                        else:
+                            stack.append((a + (x,), b + (y,), bits_xy))
     return in_id_order(g.m, found)
 
 
@@ -289,18 +397,10 @@ def line_cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
     u < v, so each cycle is emitted once.  ``limit`` caps the route pairs
     tried over the whole call and raises CandidateOverflow beyond it."""
     dist = all_pairs_distances(g)
-    diameter = max(map(max, dist))
     # far[d][v]: mask of the vertices at distance d or more from v
-    far = [[0] * (g.n + 1) for _ in range(diameter + 1)]
-    for v in g.vertices:
-        at = [0] * (diameter + 1)
-        for u, du in enumerate(dist[v]):
-            if du >= 0:
-                at[du] |= 1 << u
-        mask = 0
-        for d in range(diameter, -1, -1):
-            mask |= at[d]
-            far[d][v] = mask
+    far = list(
+        zip(*(tuple(accumulate(reversed(s), or_))[::-1] for s in distance_spheres(g)))
+    )
     edge_bit = _edge_bits(g)
     found: list[int] = []
     tried = 0
@@ -360,9 +460,7 @@ def line_cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
                             continue
                         tried += 1
                         if tried > limit:
-                            raise CandidateOverflow(
-                                f"{tried} route pairs exceed limit {limit}"
-                            )
+                            raise _overflow(limit)
                         if not ok_y >> y & 1:
                             continue
                         step = bits | bits_a[x] | bits_b[y]

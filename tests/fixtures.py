@@ -1000,6 +1000,38 @@ def hypercube(d: int) -> Graph:
     return graph_from_edges(1 << d, sorted(edges))
 
 
+@cached
+def torus(rows: int, cols: int) -> Graph:
+    """The rows x cols torus grid C_rows x C_cols, rows and cols >= 3; cell
+    (i, j) is vertex i*cols + j + 1.  Its isometric cycles include the
+    rings of length rows and cols, odd ones when those are odd."""
+
+    def at(i, j):
+        return (i % rows) * cols + j % cols + 1
+
+    edges = {tuple(sorted((at(i, j), at(i, j + 1)))) for i in range(rows) for j in range(cols)}
+    edges |= {tuple(sorted((at(i, j), at(i + 1, j)))) for i in range(rows) for j in range(cols)}
+    return graph_from_edges(rows * cols, sorted(edges))
+
+
+@cached
+def circular_ladder(n: int) -> Graph:
+    """The prism C_n x K2, n >= 3: rims 1..n and n+1..2n, rung i to n+i."""
+    edges = [(i + 1, (i + 1) % n + 1) for i in range(n)]
+    edges += [(n + i + 1, n + (i + 1) % n + 1) for i in range(n)]
+    edges += [(i + 1, n + i + 1) for i in range(n)]
+    return graph_from_edges(2 * n, sorted(tuple(sorted(e)) for e in edges))
+
+
+@cached
+def mobius_ladder(n: int) -> Graph:
+    """The Moebius ladder on 2n vertices, n >= 3: the cycle 1..2n with a
+    rung from each vertex to the one opposite it."""
+    edges = {tuple(sorted((v, v % (2 * n) + 1))) for v in range(1, 2 * n + 1)}
+    edges |= {(v, v + n) for v in range(1, n + 1)}
+    return graph_from_edges(2 * n, sorted(edges))
+
+
 # --- 8 vertices, 11 edges: a wave anchored at e2 misses a cycle --------------
 # the backward labeling from e2 = (1,5) reaches vertices 3 and 8 at the same
 # depth, so the 5-cycle 1-2-8-3-5 has no strictly descending route there

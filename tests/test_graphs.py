@@ -19,6 +19,7 @@ from edgespec import (
     reduce_to_core,
     ring_sum,
 )
+from edgespec.graphs import distance_spheres
 
 import fixtures as fx
 
@@ -188,6 +189,24 @@ def test_all_pairs_distances_are_computed_once_per_graph():
     h = build_graph(4, rows)
     assert h == g
     assert all_pairs_distances(h) == d
+
+
+@pytest.mark.parametrize(
+    "make", [fx.k2, fx.wheel6, fx.petersen, lambda: fx.grid(3, 7), fx.spider_tree]
+)
+def test_distance_spheres_match_the_table(make):
+    g = make()
+    spheres = distance_spheres(g)
+    d = all_pairs_distances(g)
+    diameter = max(map(max, d))
+    assert len(spheres) == g.n + 1
+    assert all(len(row) == diameter + 2 for row in spheres)
+    assert spheres[0] == (0,) * (diameter + 2)
+    for v in g.vertices:
+        for k, mask in enumerate(spheres[v]):
+            assert mask == sum(1 << u for u in g.vertices if d[v][u] == k)
+        assert spheres[v][1] == sum(1 << u for u in g.adjacency(v))
+    assert distance_spheres(g) is spheres
 
 
 class TestNonseparable:

@@ -21,6 +21,18 @@ FIXTURES = dict(
     k6=lambda: fx.k_n(6),
     q4=lambda: fx.hypercube(4),
     grid_6x6=lambda: fx.grid(6, 6),
+    # long isometric cycles, odd and even: torus 5x7 has lengths 5 and 7,
+    # Moebius ladder 8 has length 9
+    torus_3x3=lambda: fx.torus(3, 3),
+    torus_4x5=lambda: fx.torus(4, 5),
+    torus_5x7=lambda: fx.torus(5, 7),
+    torus_6x6=lambda: fx.torus(6, 6),
+    mobius_ladder_7=lambda: fx.mobius_ladder(7),
+    mobius_ladder_8=lambda: fx.mobius_ladder(8),
+    circular_ladder_9=lambda: fx.circular_ladder(9),
+    circular_ladder_10=lambda: fx.circular_ladder(10),
+    grid_2x15=lambda: fx.grid(2, 15),
+    q5=lambda: fx.hypercube(5),
 )
 
 
@@ -31,6 +43,17 @@ def assert_matches_reference(g):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_matches_reference(name):
     assert_matches_reference(FIXTURES[name]())
+
+
+def test_grid_10x10_is_its_unit_squares():
+    # the reference overflows here, so the unit squares are the oracle
+    g = fx.grid(10, 10)
+    squares = sorted(
+        tuple(sorted(g.edge_id(u, v) for u, v in sq)) for sq in fx.grid_squares(10, 10)
+    )
+    found = tuple(c.ids() for c in isometric_cycles(g))
+    assert len(found) == 81
+    assert found == tuple(squares)
 
 
 @settings(max_examples=40, deadline=None)
