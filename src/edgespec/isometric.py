@@ -8,13 +8,14 @@ one of them to its antipode beyond the other.  The enumeration anchors
 every cycle at its smallest vertex and walks both of its halves down from
 the opposite vertex or edge together, from those tops only that the
 anchor's neighbours, as the halves' last vertices, can close; distance
-sphere masks pick them a level at a time.  It settles each step with one or
-two distance probes per new vertex: against the antipodes once the other
-half reaches them, and against the neighbouring pair while the halves
-still form one geodesic through the top.
-The line-cycle search walks G the same way to find the isometric cycles
-of the line graph as cycles of G, with the probes that
-``edgespec.linegraph`` derives for them.
+sphere masks pick them a level at a time.
+The line-cycle search finds the isometric cycles of the line graph as
+cycles of G, with the conditions that ``edgespec.linegraph`` derives for
+them, and walks its routes through the same loop, ``_walk``.  A step's
+candidates are bit masks of neighbours one level nearer the anchor, and
+each search ANDs in its own probe masks around vertices already placed:
+the vertices at exactly the cycle distance for isometric cycles, at that
+distance or more for line cycles.
 The per-edge wave labeling labels the graph by wave depth from one end of
 an edge with the other end blocked; every strictly depth-descending route
 back closes a candidate cycle through the edge, and candidates confirmed
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from operator import or_
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CandidateOverflow, NotACycle
 from .graphs import EdgeSet, Graph, all_pairs_distances, distance_spheres
@@ -124,47 +125,110 @@ def _edge_bits(g: Graph) -> list[dict[int, int]]:
     return edge_bit
 
 
-@cache
-def _step_probes(k: int, off: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Distance probes for each descent step t = 1..k of a cycle of length
-    L = 2k + off; entry t is (j1, j2, dj, dxy).
-
-    The new a_t must be at distance dj from b_j1 and b_j2, the new b_t at
-    distance dj from a_j1 and a_j2, and the two at dxy from each other.
-    Once a_t has an antipode among b_0..b_(t-1) (i + j + off = k, or also
-    i + j = k on an odd cycle), j1 and j2 name the antipodes and dj = k.
-    Before that j1 = j2 = t - 1 and dj = 2t - 1 + off: the probe
-    (a_t, b_(t-1)), and (a_(t-1), b_t), which d(a_t, b_t) = dxy already
-    implies but which keeps one shape for every step.  Entry 0 is
-    padding."""
-    rows = [(0, 0, 0, 0)]
-    for t in range(1, k + 1):
-        anti = [j for j in (k - off - t, k - t) if 0 <= j < t]
-        if anti:
-            rows.append((anti[0], anti[-1], k, min(2 * t + off, 2 * k - 2 * t)))
-        else:
-            rows.append((t - 1, t - 1, 2 * t - 1 + off, 2 * t + off))
-    return tuple(rows)
-
-
-class _Below(dict):
-    """below[v]: the neighbours of v above the anchor w and one level nearer
-    it.  A list is made when a descent first reaches v."""
-
-    __slots__ = ("adj", "dw", "w")
-
-    def __init__(self, adj: tuple[tuple[int, ...], ...], dw: tuple[int, ...], w: int) -> None:
-        self.adj, self.dw, self.w = adj, dw, w
-
-    def __missing__(self, v: int) -> list[int]:
-        w, dw = self.w, self.dw
-        d = dw[v] - 1
-        out = self[v] = [y for y in self.adj[v] if y > w and dw[y] == d]
-        return out
-
-
 def _overflow(limit: int) -> CandidateOverflow:
     return CandidateOverflow(f"{limit + 1} route pairs exceed limit {limit}")
+
+
+def _walk(
+    tops: Iterable[tuple[int, int, int, int, int]],
+    probes: Callable[[int, int], Sequence[tuple[tuple[int, ...], tuple[int, ...], int, int]]],
+    masks: Sequence[Sequence[int]],
+    spheres: Sequence[Sequence[int]],
+    edge_bit: list[dict[int, int]],
+    limit: int,
+    found: list[int],
+) -> None:
+    """Append to ``found`` the edge masks of the cycles closed by two
+    routes a and b walked down from each top (w, p, q, bits, k), k >= 2,
+    to its anchor w, through vertices above w.  The top is the vertex
+    p = q, or the edge pq whose mask is ``bits``, and a_t and b_t lie at
+    level k - t from w, so the pair (a_(k-1), b_(k-1)) closes at w.
+
+    A step's candidates are the neighbours of each route's end at its
+    level above w, as bit masks (``spheres[v][1]`` and ``spheres[w][k - t]``).
+    ``probes(k, off)``, off = 0 for a vertex top and 1 for an edge, gives
+    step t's (on_a, on_b, d, dxy): a_t must lie in ``masks[route[i]][d]``
+    for each i in on_a, the route being (p, q, a_1, b_1, a_2, b_2, ...),
+    b_t alike for on_b, and b_t in ``masks[a_t][dxy]``.  The probe masks
+    are ANDed once per route pair popped, and the a_t and b_t that pass
+    are read off by their set bits.  A vertex top takes a_1 < b_1, so each
+    cycle is found once.
+
+    A route pair tried is an a_t that passes its probes with one of b's
+    candidates, above a_1 on a vertex top's first step, whether or not
+    that b_t passes.  ``limit`` caps them over the whole call and raises
+    CandidateOverflow beyond it."""
+    nbr = [s[1] for s in spheres]
+    tried = 0
+    anchor = 0
+    for w, p, q, bits, k in tops:
+        if w != anchor:
+            anchor = w
+            to_w = edge_bit[w]
+            above = -2 << w  # the bits of the vertices above w
+            levels = []
+        # levels[j]: the vertices above w at level j
+        while len(levels) < k:
+            levels.append(spheres[w][len(levels)] & above)
+        steps = probes(k, p != q)
+        even = p == q
+        stack = [((p, q), bits)]
+        while stack:
+            route, bits = stack.pop()
+            t = len(route) >> 1
+            on_a, on_b, d, dxy = steps[t]
+            a_end, b_end = route[-2], route[-1]
+            level = levels[k - t]
+            xs = nbr[a_end] & level
+            pool = ok_b = nbr[b_end] & level
+            for i in on_a:
+                xs &= masks[route[i]][d]
+            for i in on_b:
+                ok_b &= masks[route[i]][d]
+            bits_a, bits_b = edge_bit[a_end], edge_bit[b_end]
+            first = even and t == 1
+            last = t == k - 1
+            while xs:
+                x = xs.bit_length() - 1
+                xs ^= 1 << x
+                # a vertex top's b_1 lies above a_1
+                ys = pool & -2 << x if first else pool
+                tried += ys.bit_count()
+                if tried > limit:
+                    raise _overflow(limit)
+                ys &= ok_b & masks[x][dxy]
+                step = bits | bits_a[x]
+                while ys:
+                    y = ys.bit_length() - 1
+                    ys ^= 1 << y
+                    if last:
+                        found.append(step | bits_b[y] | to_w[x] | to_w[y])
+                    else:
+                        stack.append((route + (x, y), step | bits_b[y]))
+
+
+@cache
+def _step_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
+    """``_walk`` probes for each step t = 1..k-1 of an isometric cycle of
+    length L = 2k + off, read in the sphere masks, which hold the vertices
+    at exactly distance d; entry 0 is padding.
+
+    Once a_t has an antipode among b_0..b_(t-1) (i + j + off = k, or also
+    i + j = k on an odd cycle), a_t is probed against the antipodes at
+    distance k, b_t against a's alike, and the two at min(2t + off,
+    2k - 2t) from each other.  Before that a_t is probed against b_(t-1)
+    at 2t - 1 + off and b_t against a_t at 2t + off, which bounds
+    d(a_(t-1), b_t) too."""
+    rows = [((), (), 0, 0)]
+    for t in range(1, k):
+        anti = sorted({j for j in (k - off - t, k - t) if 0 <= j < t})
+        if anti:
+            on_a = tuple(2 * j + 1 for j in anti)
+            on_b = tuple(2 * j for j in anti)
+            rows.append((on_a, on_b, k, min(2 * t + off, 2 * k - 2 * t)))
+        else:
+            rows.append(((2 * t - 1,), (), 2 * t - 1 + off, 2 * t + off))
+    return tuple(rows)
 
 
 def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
@@ -174,12 +238,12 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     to w it has one top at distance k from w: the vertex opposite w when
     its length is 2k (off = 0), the edge opposite w when its length is
     2k+1 (off = 1).  Its halves are geodesics from the top down to w, so
-    for each anchor w and each top the search walks two routes a and b
-    down one distance level per step, through vertices above w.  A joined
-    pair of routes is an isometric cycle exactly when every cross pair
-    (a_i, b_j) sits at its distance along the cycle, min(i+j+off,
-    L-i-j-off), and one or two probes per new vertex settle all of its
-    cross pairs (``_step_probes``):
+    for each anchor w and each top ``_walk`` descends two routes a and b
+    one distance level per step.  A joined pair of routes is an isometric
+    cycle exactly when every cross pair (a_i, b_j) sits at its distance
+    along the cycle, min(i+j+off, L-i-j-off), and the probes of
+    ``_step_probes``, read in the sphere masks (the vertices at exactly
+    distance d, ``distance_spheres``), settle all of them:
 
     * while the cycle distance still grows, d(a_t, b_(t-1)) = 2t-1+off
       makes a_t..top..b_(t-1) a geodesic, so every pair on it is right,
@@ -191,8 +255,7 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
 
     So each step keeps exactly the candidate pairs whose cross pairs all
     match (a cycle is isometric when every vertex is at distance
-    floor(L/2) from its antipodes).  Even tops take a_1 < b_1, so each
-    cycle is emitted once.
+    floor(L/2) from its antipodes).
 
     Before its descent a top must pass tests at the anchor's end, each
     necessary for an isometric cycle through it.  Let y1 = a_(k-1) and
@@ -209,36 +272,47 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     A level at a time, bit masks of the spheres around w, y1 and y2
     (``distance_spheres``) give where a top, a_1 and b_1 can lie; the
     smaller of the a_1 and b_1 sets is spread to its neighbours, and each
-    top left needs a down-neighbour in the other.  At k = 1 every edge uv
-    between two neighbours of w above it closes the triangle w u v, which
-    its one route pair would confirm.  A top that fails closes no
-    isometric cycle, so the output is that of a descent from every top.
-    The last step, to w, always passes its probes, so it is taken when
-    the routes reach y1 and y2.  ``limit`` caps the candidate route pairs
-    tried over the whole call and raises CandidateOverflow beyond it."""
+    top left needs a down-neighbour in the other.  A top that fails closes
+    no isometric cycle, so the output is that of a descent from every top.
+    At k = 1 every edge uv between two neighbours of w above it closes the
+    triangle w u v, without a descent.
+
+    ``limit`` caps the route pairs tried, as ``_walk`` counts them; a
+    triangle and the step that closes a cycle at w are not counted."""
     dist = all_pairs_distances(g)
     spheres = distance_spheres(g)
     edge_bit = _edge_bits(g)
-    adj = g._adj
     found: list[int] = []
-    tried = 0
+    tops = _isometric_tops(g, dist, spheres, edge_bit, found)
+    _walk(tops, _step_probes, spheres, spheres, edge_bit, limit, found)
+    return in_id_order(g.m, found)
+
+
+def _isometric_tops(
+    g: Graph,
+    dist: tuple[tuple[int, ...], ...],
+    spheres: tuple[tuple[int, ...], ...],
+    edge_bit: list[dict[int, int]],
+    found: list[int],
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """The tops (w, p, q, bits, k) that pass the anchor-end tests of
+    ``isometric_cycles``, anchor by anchor.  Triangles need no descent and
+    go straight to ``found``."""
+    adj = g._adj
     for w in g.vertices:
         ys = [y for y in adj[w] if y > w]
         if len(ys) < 2:
             continue
+        dw = dist[w]
         sw = spheres[w]
-        above = -2 << w  # the bits of the vertices above w
+        above = -2 << w
         to_w = edge_bit[w]
         # triangles w u v
         for u in ys:
             for v in adj[u]:
-                if v > u and sw[1] >> v & 1:
-                    tried += 1
+                if v > u and dw[v] == 1:
                     found.append(to_w[u] | to_w[v] | edge_bit[u][v])
-        if tried > limit:
-            raise _overflow(limit)
         pairs = list(combinations([spheres[y] for y in ys], 2))
-        tops = []
         for k in range(2, len(sw)):
             level = sw[k] & above
             # a route down from level k passes every level above w
@@ -289,49 +363,12 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
                 low = evens & -evens
                 evens ^= low
                 x = low.bit_length() - 1
-                tops.append((x, x, 0, k))
+                yield w, x, x, 0, k
             while odds:
                 low = odds & -odds
                 odds ^= low
                 u, v = g.edges[low.bit_length() - 1]
-                tops.append((u, v, low, k))
-        below = _Below(adj, dist[w], w)
-        for p, q, bits, k in tops:
-            steps = _step_probes(k, p != q)
-            stack = [((p,), (q,), bits)]
-            while stack:
-                a, b, bits = stack.pop()
-                t = len(a)
-                j1, j2, dj, dxy = steps[t]
-                db1, db2 = dist[b[j1]], dist[b[j2]]
-                da1, da2 = dist[a[j1]], dist[a[j2]]
-                bits_a, bits_b = edge_bit[a[-1]], edge_bit[b[-1]]
-                # even top: a_1 < b_1; vertex ids start at 1
-                first = p == q and t == 1
-                last = t == k - 1
-                for x in below[a[-1]]:
-                    if db1[x] != dj or db2[x] != dj:
-                        continue
-                    dx = dist[x]
-                    lowest = x if first else 0
-                    for y in below[b[-1]]:
-                        if y <= lowest:
-                            continue
-                        tried += 1
-                        if tried > limit:
-                            raise _overflow(limit)
-                        if dx[y] != dxy or da1[y] != dj or da2[y] != dj:
-                            continue
-                        bits_xy = bits | bits_a[x] | bits_b[y]
-                        if last:
-                            # the step to w, (w, w), always passes its probes
-                            tried += 1
-                            if tried > limit:
-                                raise _overflow(limit)
-                            found.append(bits_xy | to_w[x] | to_w[y])
-                        else:
-                            stack.append((a + (x,), b + (y,), bits_xy))
-    return in_id_order(g.m, found)
+                yield w, u, v, low, k
 
 
 def in_id_order(m: int, masks: Iterable[int]) -> tuple[EdgeSet, ...]:
@@ -345,16 +382,15 @@ def in_id_order(m: int, masks: Iterable[int]) -> tuple[EdgeSet, ...]:
 
 
 @cache
-def _line_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
-    """Distance probes for each descent step t = 1..k-1 of a line cycle of
-    length L = 2k + off >= 4; entry t is (probes of a_t, probes of b_t,
-    whether b_t is probed against a_t), and entry 0 is padding.
+def _line_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
+    """``_walk`` probes for each step t = 1..k-1 of a line cycle of length
+    L = 2k + off >= 4, read in "d or more" masks; entry 0 is padding.
 
-    A probe is the index of a placed vertex in the route (p, q, a_1, b_1,
-    a_2, b_2, ...), a_j being j steps before the top and b_j j steps
-    after it: the placed vertices at cyclic distance k - 1 or k from the
-    new one, which must be k - 1 or more away from it.  The anchor needs
-    no probe: its distances are the levels."""
+    A new vertex is probed against the placed ones at cyclic distance
+    k - 1 or k, which must be k - 1 or more away from it, and so is b_t
+    against a_t when they are that far apart on the cycle; otherwise the
+    cross distance is 0, which every vertex passes.  The anchor needs no
+    probe: its distances are the levels."""
     length = 2 * k + off
 
     def position(i: int) -> int:
@@ -364,14 +400,15 @@ def _line_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
         gap = abs(position(i) - position(j))
         return min(gap, length - gap) >= k - 1
 
-    rows = [((), (), False)]
+    rows = [((), (), 0, 0)]
     for t in range(1, k):
         placed = [i for i in range(2 * t) if off or i != 1]
         rows.append(
             (
                 tuple(i for i in placed if probed(i, 2 * t)),
                 tuple(i for i in placed if probed(i, 2 * t + 1)),
-                probed(2 * t, 2 * t + 1),
+                k - 1,
+                k - 1 if probed(2 * t, 2 * t + 1) else 0,
             )
         )
     return tuple(rows)
@@ -387,88 +424,56 @@ def line_cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
     The arcs of k - 1 edges of such a cycle are geodesics, so relative to
     its smallest vertex w both halves descend one level per step, and the
     top (v_k, or the edge v_k v_(k+1) when L is odd) sits at level k - 1
-    or k.  Each anchor w takes each top at both k its levels allow and
-    walks two routes a and b down from it as ``isometric_cycles`` does,
-    the first step to level k - 1, and ``_line_probes`` settles each new
-    vertex against the placed ones at cyclic distance k - 1 and k.  As
-    k - 1 >= 1, those probes also keep the vertices apart: a repeated
-    vertex gives one such pair a shortcut of fewer than k - 1 edges.  The
-    routes close at w from level 1.  Even tops take a_1 < b_1 and odd tops
-    u < v, so each cycle is emitted once.  ``limit`` caps the route pairs
-    tried over the whole call and raises CandidateOverflow beyond it."""
+    or k.  A top end at level k - 1 steps along its level first, so a_1
+    and b_1 lie at level k - 1 whichever level the top is at.  Each anchor
+    w takes each top at both k its levels allow and ``_walk`` descends
+    from it, reading ``_line_probes`` in masks of the vertices d or more
+    away.  As k - 1 >= 1, those probes also keep the vertices apart: a
+    repeated vertex gives one such pair a shortcut of fewer than k - 1
+    edges.  Odd tops take u < v, and an odd top at level 1 closes a
+    triangle without a descent.  ``limit`` caps the route pairs tried, as
+    ``_walk`` counts them."""
     dist = all_pairs_distances(g)
-    # far[d][v]: mask of the vertices at distance d or more from v
-    far = list(
-        zip(*(tuple(accumulate(reversed(s), or_))[::-1] for s in distance_spheres(g)))
-    )
+    spheres = distance_spheres(g)
+    # far[v][d]: mask of the vertices at distance d or more from v
+    far = [tuple(accumulate(reversed(s), or_))[::-1] for s in spheres]
     edge_bit = _edge_bits(g)
     found: list[int] = []
-    tried = 0
+    tops = _line_tops(g, dist, spheres, edge_bit, found)
+    _walk(tops, _line_probes, far, spheres, edge_bit, limit, found)
+    return found
+
+
+def _line_tops(
+    g: Graph,
+    dist: tuple[tuple[int, ...], ...],
+    spheres: tuple[tuple[int, ...], ...],
+    edge_bit: list[dict[int, int]],
+    found: list[int],
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """The tops (w, p, q, bits, k) of ``line_cycle_masks`` whose ends both
+    have a neighbour at level k - 1 above w, anchor by anchor.  Triangles
+    need no descent and go straight to ``found``."""
     for w in g.vertices:
         dw = dist[w]
+        sw = spheres[w]
+        above = -2 << w
         to_w = edge_bit[w]
-        down = {
-            v: [y for y in g.adjacency(v) if y > w and dw[y] == dw[v] - 1]
-            for v in range(w + 1, g.n + 1)
-        }
-        side = {
-            v: [y for y in g.adjacency(v) if y > w and dw[y] == dw[v]]
-            for v in range(w + 1, g.n + 1)
-        }
-        # (p, q, bits, k, first steps from p and from q); a level-k end
-        # steps down, a level-(k-1) end steps along its level
-        tops = [
-            (x, x, 0, dw[x], down[x], down[x])
-            for x in down
-            if dw[x] >= 2 and len(down[x]) >= 2
-        ]
-        tops += [(x, x, 0, dw[x] + 1, side[x], side[x]) for x in side if len(side[x]) >= 2]
+        for x in range(w + 1, g.n + 1):
+            near = spheres[x][1] & above
+            # a vertex top's ends step to level k - 1: down from level k,
+            # or along level k - 1
+            for k in (dw[x], dw[x] + 1):
+                if (near & sw[k - 1]).bit_count() >= 2:
+                    yield w, x, x, 0, k
         for e, (u, v) in enumerate(g.edges):
             if u > w:
                 for k in {max(dw[u], dw[v]), min(dw[u], dw[v]) + 1}:
-                    first_u = down[u] if dw[u] == k else side[u]
-                    first_v = down[v] if dw[v] == k else side[v]
+                    first = sw[k - 1] & above  # where a_1 and b_1 lie
                     if k == 1:  # the triangle w u v
                         found.append(1 << e | to_w[u] | to_w[v])
-                    elif first_u and first_v:
-                        tops.append((u, v, 1 << e, k, first_u, first_v))
-        for p, q, bits, k, first_a, first_b in tops:
-            steps = _line_probes(k, p != q)
-            far_k = far[k - 1]
-            stack = [((p, q), bits)]
-            while stack:
-                route, bits = stack.pop()
-                a_end, b_end = route[-2], route[-1]
-                t = len(route) // 2
-                on_a, on_b, cross = steps[t]
-                ok_a = ok_b = -1
-                for i in on_a:
-                    ok_a &= far_k[route[i]]
-                for i in on_b:
-                    ok_b &= far_k[route[i]]
-                xs, ys = (first_a, first_b) if t == 1 else (down[a_end], down[b_end])
-                bits_a, bits_b = edge_bit[a_end], edge_bit[b_end]
-                last = t == k - 1
-                for x in xs:
-                    if not ok_a >> x & 1:
-                        continue
-                    ok_y = ok_b & far_k[x] if cross else ok_b
-                    # even top: a_1 < b_1; vertex ids start at 1
-                    lowest = x if p == q and t == 1 else 0
-                    for y in ys:
-                        if y <= lowest:
-                            continue
-                        tried += 1
-                        if tried > limit:
-                            raise _overflow(limit)
-                        if not ok_y >> y & 1:
-                            continue
-                        step = bits | bits_a[x] | bits_b[y]
-                        if last:
-                            found.append(step | to_w[x] | to_w[y])
-                        else:
-                            stack.append((route + (x, y), step))
-    return found
+                    elif spheres[u][1] & first and spheres[v][1] & first:
+                        yield w, u, v, 1 << e, k
 
 
 def cycle_order(g: Graph, cycle: EdgeSet) -> tuple[int, ...]:

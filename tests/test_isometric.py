@@ -20,6 +20,7 @@ from edgespec import (
     isometric_cycles,
     wave_labels,
 )
+from edgespec.isometric import line_cycle_masks
 
 import fixtures as fx
 import isometric_reference as ref
@@ -211,25 +212,45 @@ def test_limit_overflows_or_gives_the_whole_result(name):
 
 
 @pytest.mark.parametrize(
-    "make, pairs, descent_from_every_top",
+    "make, pairs, counting_closings",
     [
-        (fx.petersen, 24, 24),
-        (lambda: fx.hypercube(4), 399, 444),
-        (lambda: fx.hypercube(5), 5604, 6162),
-        (lambda: fx.grid(10, 10), 162, 15294),
+        (fx.petersen, 12, 24),
+        (lambda: fx.hypercube(4), 319, 399),
+        (lambda: fx.hypercube(5), 4932, 5604),
+        (lambda: fx.grid(10, 10), 81, 162),
     ],
     ids=["petersen", "q4", "q5", "grid_10x10"],
 )
-def test_limit_is_the_route_pairs_tried(make, pairs, descent_from_every_top):
+def test_limit_is_the_route_pairs_tried(make, pairs, counting_closings):
     # the search tries exactly `pairs` candidate route pairs, so a limit of
-    # that many returns and one fewer overflows; skipping the tops that
-    # fail the anchor-end tests only removes pairs from what a descent
-    # from every top with two down-neighbours tried
-    assert pairs <= descent_from_every_top
+    # that many returns and one fewer overflows; a count that also took
+    # each triangle and each closing step to the anchor as one pair, one
+    # per cycle found, reads `counting_closings`
     g = make()
-    assert isometric_cycles(g, pairs) == isometric_cycles(g)
+    whole = isometric_cycles(g)
+    assert pairs + len(whole) == counting_closings
+    assert isometric_cycles(g, pairs) == whole
     with pytest.raises(CandidateOverflow, match=f"^{pairs} route pairs exceed limit {pairs - 1}$"):
         isometric_cycles(g, pairs - 1)
+
+
+@pytest.mark.parametrize(
+    "make, pairs",
+    [
+        (fx.petersen, 74),
+        (lambda: fx.hypercube(4), 364),
+        (lambda: fx.hypercube(5), 5950),
+        (fx.k44, 36),
+    ],
+    ids=["petersen", "q4", "q5", "k44"],
+)
+def test_line_search_limit_is_the_route_pairs_tried(make, pairs):
+    # the line-cycle search counts its route pairs as the isometric search
+    # does, so a limit of exactly that many returns and one fewer overflows
+    g = make()
+    assert sorted(line_cycle_masks(g, pairs)) == sorted(line_cycle_masks(g))
+    with pytest.raises(CandidateOverflow, match=f"^{pairs} route pairs exceed limit {pairs - 1}$"):
+        line_cycle_masks(g, pairs - 1)
 
 
 @settings(max_examples=100, deadline=None)
