@@ -11,11 +11,12 @@ anchor's neighbours, as the halves' last vertices, can close; distance
 sphere masks pick them a level at a time.
 The line-cycle search finds the isometric cycles of the line graph as
 cycles of G, with the conditions that ``edgespec.linegraph`` derives for
-them, and walks its routes through the same loop, ``_walk``.  A step's
-candidates are bit masks of neighbours one level nearer the anchor, and
-each search ANDs in its own probe masks around vertices already placed:
-the vertices at exactly the cycle distance for isometric cycles, at that
-distance or more for line cycles.
+them, and picks its tops with the same selector, ``_tops``, and walks
+its routes through the same loop, ``_walk``.  A step's candidates are bit
+masks of neighbours one level nearer the anchor.  Each search reads the
+selector's tests and its probes around vertices already placed in its
+own masks: the vertices at exactly the cycle distance for isometric
+cycles, at k - 1 or more for line cycles of length 2k or 2k + 1.
 The per-edge wave labeling labels the graph by wave depth from one end of
 an edge with the other end blocked; every strictly depth-descending route
 back closes a candidate cycle through the edge, and candidates confirmed
@@ -257,97 +258,108 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     match (a cycle is isometric when every vertex is at distance
     floor(L/2) from its antipodes).
 
-    Before its descent a top must pass tests at the anchor's end, each
-    necessary for an isometric cycle through it.  Let y1 = a_(k-1) and
-    y2 = b_(k-1), the neighbours of w on the cycle.  They differ, so w
-    needs two neighbours above it, and each pair of those is tried:
-
-    * an even top x is at distance k - 1 from y1 and y2;
-    * an odd top uv has d(u, y1) = d(v, y2) = k - 1 and d(u, y2) =
-      d(v, y1) = k, because u and y2 are antipodes, as are v and y1;
-    * a_1, below the top's a end, is at distance k - 2 from y1 and k from
-      y2, because a_1 and y2 are antipodes; b_1 alike with y1 and y2
-      swapped.  So a_1 and b_1 differ.
-
-    A level at a time, bit masks of the spheres around w, y1 and y2
-    (``distance_spheres``) give where a top, a_1 and b_1 can lie; the
-    smaller of the a_1 and b_1 sets is spread to its neighbours, and each
-    top left needs a down-neighbour in the other.  A top that fails closes
-    no isometric cycle, so the output is that of a descent from every top.
-    At k = 1 every edge uv between two neighbours of w above it closes the
-    triangle w u v, without a descent.
+    Before its descent a top must pass the tests at the anchor's end of
+    ``_tops``, read in the sphere masks: w's two neighbours on the cycle
+    lie at distance k - 1 from the top's nearer ends, and at distance k
+    from their antipodes among the top's ends and the first vertices
+    below it.  Each test is necessary for an isometric cycle through the
+    top, so the output is that of a descent from every top.  Triangles
+    close without a descent.
 
     ``limit`` caps the route pairs tried, as ``_walk`` counts them; a
     triangle and the step that closes a cycle at w are not counted."""
-    dist = all_pairs_distances(g)
     spheres = distance_spheres(g)
     edge_bit = _edge_bits(g)
     found: list[int] = []
-    tops = _isometric_tops(g, dist, spheres, edge_bit, found)
+    tops = _tops(g, spheres, spheres, edge_bit, found)
     _walk(tops, _step_probes, spheres, spheres, edge_bit, limit, found)
     return in_id_order(g.m, found)
 
 
-def _isometric_tops(
+def _tops(
     g: Graph,
-    dist: tuple[tuple[int, ...], ...],
     spheres: tuple[tuple[int, ...], ...],
+    masks: Sequence[Sequence[int]],
     edge_bit: list[dict[int, int]],
     found: list[int],
 ) -> Iterator[tuple[int, int, int, int, int]]:
-    """The tops (w, p, q, bits, k) that pass the anchor-end tests of
-    ``isometric_cycles``, anchor by anchor.  Triangles need no descent and
-    go straight to ``found``."""
+    """The tops (w, p, q, bits, k), k >= 2, that pass the tests at the
+    anchor's end, anchor by anchor, for either search.  Triangles need no
+    descent and go straight to ``found``.
+
+    A search's cycles of length 2k + off put the vertices at cyclic
+    distance k from a vertex v in ``masks[v][k]``: the vertices at exactly
+    k for isometric cycles (the sphere masks), at k - 1 or more for line
+    cycles (fact 3 in ``edgespec.linegraph``).  In both, the arcs of
+    k - 1 edges are geodesics, read in the sphere masks.  Let y1 = a_(k-1)
+    and y2 = b_(k-1), the neighbours of the anchor w on the cycle.  They
+    differ, so w needs two neighbours above it, and each pair of those is
+    tried:
+
+    * a top end, at cyclic distance k from w, lies in w's mask at k;
+    * an even top x is at distance k - 1 from y1 and y2;
+    * an odd top uv has d(u, y1) = d(v, y2) = k - 1, and u lies in y2's
+      mask at k, v in y1's;
+    * a_1, below the top's a end, is at distance k - 1 from w and k - 2
+      from y1, and lies in y2's mask at k; b_1 alike with y1 and y2
+      swapped.
+
+    The tests on y1 and y2 keep a top within k of w, so it sits at level
+    k for isometric cycles and at k - 1 or k for line cycles.  A level at
+    a time, the bit masks give where a top, a_1 and b_1 can lie; the a_1
+    and b_1 sets are spread to their neighbours, and a top's a end needs
+    a neighbour among a_1, its b end among b_1.  A top that fails closes
+    no cycle of the search.  At k = 1 every edge uv between two neighbours
+    of w above it closes the triangle w u v, a line cycle as well."""
     adj = g._adj
     for w in g.vertices:
         ys = [y for y in adj[w] if y > w]
         if len(ys) < 2:
             continue
-        dw = dist[w]
         sw = spheres[w]
         above = -2 << w
         to_w = edge_bit[w]
         # triangles w u v
         for u in ys:
             for v in adj[u]:
-                if v > u and dw[v] == 1:
+                if v > u and sw[1] >> v & 1:
                     found.append(to_w[u] | to_w[v] | edge_bit[u][v])
-        pairs = list(combinations([spheres[y] for y in ys], 2))
+        pairs = list(combinations([(spheres[y], masks[y]) for y in ys], 2))
         for k in range(2, len(sw)):
-            level = sw[k] & above
-            # a route down from level k passes every level above w
+            # a top at cyclic distance k from w; a route down from it
+            # passes every level above w below k
+            level = masks[w][k] & above
             if not level:
                 break
             inner = sw[k - 1] & above
             evens = odds = 0
-            for s1, s2 in pairs:
+            for (s1, m1), (s2, m2) in pairs:
                 # an even top x at k - 1 from y1 and y2; an odd top uv with
-                # u at k - 1 from y1 and k from y2, and v the reverse
+                # u at k - 1 from y1 and cyclic distance k from y2, and v
+                # the reverse
                 xs = level & s1[k - 1] & s2[k - 1]
-                us = level & s1[k - 1] & s2[k]
-                vs = level & s2[k - 1] & s1[k]
+                us = level & s1[k - 1] & m2[k]
+                vs = level & s2[k - 1] & m1[k]
                 if not xs and not (us and vs):
                     continue
                 # a_1 and b_1 for a_(k-1) = y1 and b_(k-1) = y2
-                a1 = inner & s1[k - 2] & s2[k]
-                b1 = inner & s2[k - 2] & s1[k]
+                a1 = inner & s1[k - 2] & m2[k]
+                b1 = inner & s2[k - 2] & m1[k]
                 if not a1 or not b1:
                     continue
-                # spread the smaller of the two to its neighbours
-                if a1.bit_count() > b1.bit_count():
-                    a1, b1, us, vs = b1, a1, vs, us
-                reach = 0
+                # the top ends need a neighbour among a_1 and b_1
+                reach_a = reach_b = 0
                 while a1:
                     low = a1 & -a1
                     a1 ^= low
-                    reach |= spheres[low.bit_length() - 1][1]
-                xs &= reach
-                while xs:
-                    low = xs & -xs
-                    xs ^= low
-                    if spheres[low.bit_length() - 1][1] & b1:
-                        evens |= low
-                us &= reach
+                    reach_a |= spheres[low.bit_length() - 1][1]
+                while b1:
+                    low = b1 & -b1
+                    b1 ^= low
+                    reach_b |= spheres[low.bit_length() - 1][1]
+                evens |= xs & reach_a & reach_b
+                us &= reach_a
+                vs &= reach_b
                 while us:
                     low = us & -us
                     us ^= low
@@ -356,9 +368,7 @@ def _isometric_tops(
                     while ends:
                         high = ends & -ends
                         ends ^= high
-                        v = high.bit_length() - 1
-                        if spheres[v][1] & b1:
-                            odds |= edge_bit[u][v]
+                        odds |= edge_bit[u][high.bit_length() - 1]
             while evens:
                 low = evens & -evens
                 evens ^= low
@@ -384,12 +394,13 @@ def in_id_order(m: int, masks: Iterable[int]) -> tuple[EdgeSet, ...]:
 @cache
 def _line_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
     """``_walk`` probes for each step t = 1..k-1 of a line cycle of length
-    L = 2k + off >= 4, read in "d or more" masks; entry 0 is padding.
+    L = 2k + off >= 4, read in masks of the vertices d - 1 or more away;
+    entry 0 is padding.
 
     A new vertex is probed against the placed ones at cyclic distance
     k - 1 or k, which must be k - 1 or more away from it, and so is b_t
     against a_t when they are that far apart on the cycle; otherwise the
-    cross distance is 0, which every vertex passes.  The anchor needs no
+    cross probe is 0, which every vertex passes.  The anchor needs no
     probe: its distances are the levels."""
     length = 2 * k + off
 
@@ -407,8 +418,8 @@ def _line_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
             (
                 tuple(i for i in placed if probed(i, 2 * t)),
                 tuple(i for i in placed if probed(i, 2 * t + 1)),
-                k - 1,
-                k - 1 if probed(2 * t, 2 * t + 1) else 0,
+                k,
+                k if probed(2 * t, 2 * t + 1) else 0,
             )
         )
     return tuple(rows)
@@ -425,55 +436,22 @@ def line_cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
     its smallest vertex w both halves descend one level per step, and the
     top (v_k, or the edge v_k v_(k+1) when L is odd) sits at level k - 1
     or k.  A top end at level k - 1 steps along its level first, so a_1
-    and b_1 lie at level k - 1 whichever level the top is at.  Each anchor
-    w takes each top at both k its levels allow and ``_walk`` descends
-    from it, reading ``_line_probes`` in masks of the vertices d or more
-    away.  As k - 1 >= 1, those probes also keep the vertices apart: a
-    repeated vertex gives one such pair a shortcut of fewer than k - 1
-    edges.  Odd tops take u < v, and an odd top at level 1 closes a
-    triangle without a descent.  ``limit`` caps the route pairs tried, as
-    ``_walk`` counts them."""
-    dist = all_pairs_distances(g)
+    and b_1 lie at level k - 1 whichever level the top is at.  ``_tops``
+    picks the tops from the anchor's end and ``_walk`` descends from
+    them, both reading the vertices at cyclic distance k in ``far``, the
+    vertices k - 1 or more away.  As k - 1 >= 1, the probes of
+    ``_line_probes`` also keep the vertices apart: a repeated vertex gives
+    one such pair a shortcut of fewer than k - 1 edges.  Triangles close
+    without a descent.  ``limit`` caps the route pairs tried, as ``_walk``
+    counts them."""
     spheres = distance_spheres(g)
-    # far[v][d]: mask of the vertices at distance d or more from v
-    far = [tuple(accumulate(reversed(s), or_))[::-1] for s in spheres]
+    # far[v][d]: mask of the vertices at distance d - 1 or more from v
+    far = [tuple(accumulate(reversed(s[:1] + s), or_))[::-1] for s in spheres]
     edge_bit = _edge_bits(g)
     found: list[int] = []
-    tops = _line_tops(g, dist, spheres, edge_bit, found)
+    tops = _tops(g, spheres, far, edge_bit, found)
     _walk(tops, _line_probes, far, spheres, edge_bit, limit, found)
     return found
-
-
-def _line_tops(
-    g: Graph,
-    dist: tuple[tuple[int, ...], ...],
-    spheres: tuple[tuple[int, ...], ...],
-    edge_bit: list[dict[int, int]],
-    found: list[int],
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """The tops (w, p, q, bits, k) of ``line_cycle_masks`` whose ends both
-    have a neighbour at level k - 1 above w, anchor by anchor.  Triangles
-    need no descent and go straight to ``found``."""
-    for w in g.vertices:
-        dw = dist[w]
-        sw = spheres[w]
-        above = -2 << w
-        to_w = edge_bit[w]
-        for x in range(w + 1, g.n + 1):
-            near = spheres[x][1] & above
-            # a vertex top's ends step to level k - 1: down from level k,
-            # or along level k - 1
-            for k in (dw[x], dw[x] + 1):
-                if (near & sw[k - 1]).bit_count() >= 2:
-                    yield w, x, x, 0, k
-        for e, (u, v) in enumerate(g.edges):
-            if u > w:
-                for k in {max(dw[u], dw[v]), min(dw[u], dw[v]) + 1}:
-                    first = sw[k - 1] & above  # where a_1 and b_1 lie
-                    if k == 1:  # the triangle w u v
-                        found.append(1 << e | to_w[u] | to_w[v])
-                    elif spheres[u][1] & first and spheres[v][1] & first:
-                        yield w, u, v, 1 << e, k
 
 
 def cycle_order(g: Graph, cycle: EdgeSet) -> tuple[int, ...]:

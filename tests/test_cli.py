@@ -325,6 +325,19 @@ class TestLineGraph:
         assert (payload["triples"], payload["images"], payload["doubles"]) == (12, 9, 9)
         assert payload["invariant"]["edge"] == sorted(fx.G_6V10E_B_IL_EDGE)
 
+    def test_grid_11x11_within_the_default_limit(self, runner, tmp_path):
+        # the line search picks its tops from the anchor's end, so the 460
+        # isometric cycles of L(G) take far fewer than 10**6 route pairs
+        path = grf_file(tmp_path, "grid.grf", fx.grid(11, 11))
+        il = "IL: (8×2, 32×3, 36×6, 144×8) & (4×4, 8×11, 28×12, 4×28, 28×30, 49×32)"
+        r = runner.invoke(main, ["linegraph", path])
+        assert r.exit_code == 0
+        assert "isometric cycles: 460" in r.stdout.splitlines()
+        assert il in r.stdout.splitlines()
+        r = runner.invoke(main, ["invariant", path, "--with-line-invariant"])
+        assert r.exit_code == 0
+        assert il in r.stdout.splitlines()
+
 
 class TestTree:
     def test_human(self, runner, tmp_path):

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import edgespec.graphs
 import edgespec.isometric
 import edgespec.spectra
 from edgespec import (
@@ -252,16 +253,30 @@ def test_nonseparability_is_checked_once_per_graph(monkeypatch, run, graphs):
 
 
 def test_line_invariant_computes_the_distance_table_once(monkeypatch):
-    real = edgespec.isometric.all_pairs_distances
-    fresh = []
+    # all_pairs_distances runs its BFS while a graph has no table yet;
+    # distance_spheres reaches it by its name in graphs
+    real = edgespec.graphs.all_pairs_distances
+    runs = []
+
+    def counted(g):
+        if g._dist is None:
+            runs.append(g)
+        return real(g)
+
+    for module in (edgespec.graphs, edgespec.isometric):
+        monkeypatch.setattr(module, "all_pairs_distances", counted)
+    spheres = []
     monkeypatch.setattr(
         edgespec.isometric,
-        "all_pairs_distances",
-        lambda g: fresh.append(g._dist is None) or real(g),
+        "distance_spheres",
+        lambda g: spheres.append(edgespec.graphs.distance_spheres(g)) or spheres[-1],
     )
     # relabelled by the identity: a new Graph with no distance table yet
-    integral_invariant(relabel(fx.petersen(), list(range(1, 11))), with_line=True)
-    assert fresh == [True, False]
+    g = relabel(fx.petersen(), list(range(1, 11)))
+    integral_invariant(g, with_line=True)
+    assert runs == [g]
+    # both searches read the masks of that one BFS
+    assert len(spheres) == 2 and spheres[0] is spheres[1] is g._spheres
 
 
 @pytest.mark.parametrize(

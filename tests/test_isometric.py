@@ -237,16 +237,19 @@ def test_limit_is_the_route_pairs_tried(make, pairs, counting_closings):
 @pytest.mark.parametrize(
     "make, pairs",
     [
-        (fx.petersen, 74),
-        (lambda: fx.hypercube(4), 364),
-        (lambda: fx.hypercube(5), 5950),
+        (fx.petersen, 32),
+        (lambda: fx.hypercube(4), 319),
+        (lambda: fx.hypercube(5), 5317),
         (fx.k44, 36),
+        (lambda: fx.grid(10, 10), 81),
     ],
-    ids=["petersen", "q4", "q5", "k44"],
+    ids=["petersen", "q4", "q5", "k44", "grid_10x10"],
 )
 def test_line_search_limit_is_the_route_pairs_tried(make, pairs):
     # the line-cycle search counts its route pairs as the isometric search
-    # does, so a limit of exactly that many returns and one fewer overflows
+    # does, so a limit of exactly that many returns and one fewer overflows;
+    # a descent from every top above the anchor, at both levels it allows,
+    # tried Petersen 74, Q4 364, Q5 5,950, K4,4 36 and grid 10x10 951,345
     g = make()
     assert sorted(line_cycle_masks(g, pairs)) == sorted(line_cycle_masks(g))
     with pytest.raises(CandidateOverflow, match=f"^{pairs} route pairs exceed limit {pairs - 1}$"):

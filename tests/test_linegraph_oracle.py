@@ -45,6 +45,22 @@ def test_fixture_matches_reference(name):
     assert_matches_reference(FIXTURES[name]())
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fx.grid(10, 10),
+        lambda: fx.grid(11, 11),
+        lambda: fx.torus(7, 9),
+        lambda: fx.circular_ladder(15),
+    ],
+    ids=["grid_10x10", "grid_11x11", "torus_7x9", "circular_ladder_15"],
+)
+def test_long_cycles_match_reference(make):
+    # tops far from the anchor: the line search picks them from the
+    # anchor's end, and the reference searches L(G) itself
+    assert_matches_reference(make())
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_random_graph_and_its_line_graph_match_reference(seed):
