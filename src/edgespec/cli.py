@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .engine import (
     IntegralInvariant,
@@ -26,12 +27,13 @@ from .engine import (
     vertex_orbit_partition,
 )
 from .errors import EdgespecError, GrfParseError
-from .graphs import Graph
+from .graphs import Graph, bit_ids
 from .grf import load_graph, parse_edgelist, parse_grf
 from .isometric import cycle_order, isometric_cycles
 from .linegraph import classify_line_cycles, line_weights
 from .spectra import (
     Invariant,
+    Spectrum,
     SpectrumInvariant,
     build_cut_spectrum,
     build_cycle_spectrum,
@@ -206,6 +208,15 @@ def cycles(path: str, fmt: str) -> None:
         _echo(f"cycle {i}: " + " ".join(str(v) for v in seq))
 
 
+def _cells(spec: Spectrum) -> Iterator[Iterator[tuple[int, ...] | None]]:
+    """Each level's cells: the edge ids of each live row, None for a dead one.
+    Both are lazy, so a level's ids are made only as it is printed."""
+    return (
+        (bit_ids(r) if alive >> i & 1 else None for i, r in enumerate(rows))
+        for rows, alive in zip(spec.rows, spec.alive)
+    )
+
+
 def spectrum(path: str, kind: str, max_levels: int | None, fmt: str) -> None:
     """Full spectrum table with per-level weights."""
     g = _load(path)
@@ -223,8 +234,7 @@ def spectrum(path: str, kind: str, max_levels: int | None, fmt: str) -> None:
             "level_count": spec.level_count,
             "truncated": spec.truncated,
             "levels": [
-                [None if c is None else list(c.ids()) for c in level]
-                for level in spec.levels
+                [None if c is None else list(c) for c in level] for level in _cells(spec)
             ],
             "xi": {
                 "per_level": [list(row) for row in xi.per_level],
@@ -240,11 +250,10 @@ def spectrum(path: str, kind: str, max_levels: int | None, fmt: str) -> None:
     _echo(f"{kind} spectrum: {spec.level_count} levels")
     if spec.truncated:
         _echo("(truncated at the level cap)")
-    for l, level in enumerate(spec.levels):
+    for l, level in enumerate(_cells(spec)):
         _echo(f"level {l}:")
-        for e in g.edge_ids:
-            cell = level[e - 1]
-            body = "-" if cell is None else " ".join(str(i) for i in cell.ids())
+        for e, cell in enumerate(level, start=1):
+            body = "-" if cell is None else " ".join(str(i) for i in cell)
             _echo(f"  e{e}: {body}")
         _echo("  xi:   " + " ".join(str(x) for x in xi.per_level[l]))
         _echo("  zeta: " + " ".join(str(z) for z in zeta.per_level[l]))

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import LimitExceeded, NotAPermutation, NotATree
 from .graphs import Graph, build_graph
-from .isometric import isometric_cycles
+from .isometric import _cycle_masks
 from .linegraph import digital_invariant_IL, line_cycle_weights
 # neither builder checks nonseparability: each caller here checks the
 # graph before it builds its cut spectrum
@@ -81,7 +81,7 @@ def integral_invariant(
         return IntegralInvariant(tree_invariant(g), None, None)
     _check_nonseparable(g)
     cut = _cut_builder(g, max_levels).invariant()
-    cyc = _cycle_builder(g, 1, isometric_cycles(g, limit)).invariant()
+    cyc = _cycle_builder(g, 1, _cycle_masks(g, limit)).invariant()
     line = digital_invariant_IL(g, limit) if with_line else None
     return IntegralInvariant(cut, cyc, line)
 
@@ -168,8 +168,8 @@ def compare_graphs(
     witness = _cut_witness(g, h, max_levels)
     if witness is not None:
         return _not_iso(witness)
-    gc = _cycle_builder(g, 1, isometric_cycles(g, limit)).invariant()
-    hc = _cycle_builder(h, 1, isometric_cycles(h, limit)).invariant()
+    gc = _cycle_builder(g, 1, _cycle_masks(g, limit)).invariant()
+    hc = _cycle_builder(h, 1, _cycle_masks(h, limit)).invariant()
     if gc != hc:
         return _not_iso("cycle spectrum base invariant")
     if with_line:
@@ -205,7 +205,7 @@ def vertex_orbit_partition(
     """Group vertices by their cut, cycle, and optional line weight signatures."""
     _check_nonseparable(g)
     zeta_cut = _cut_builder(g, max_levels).vertex_weights()
-    zeta_cyc = _cycle_builder(g, 1, isometric_cycles(g, limit)).vertex_weights()
+    zeta_cyc = _cycle_builder(g, 1, _cycle_masks(g, limit)).vertex_weights()
     line_part = line_cycle_weights(g, limit)[1] if with_line else None
     signatures = []
     for v in g.vertices:

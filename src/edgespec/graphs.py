@@ -24,6 +24,16 @@ from .errors import (
 )
 
 
+def bit_ids(bits: int) -> tuple[int, ...]:
+    """The 1-based ids of the set bits of a mask, in ascending order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
+    return tuple(out)
+
+
 class EdgeSet:
     """Immutable set of edge ids 1..m backed by a bit mask."""
 
@@ -68,11 +78,7 @@ class EdgeSet:
         return 1 <= i <= self.m and (self.bits >> (i - 1)) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length()
-            bits ^= low
+        return iter(bit_ids(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -95,7 +101,7 @@ class EdgeSet:
         return self.bits & ~other.bits == 0
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(self)
+        return bit_ids(self.bits)
 
     def __repr__(self) -> str:
         inner = ",".join(str(i) for i in self)

@@ -268,12 +268,18 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
 
     ``limit`` caps the route pairs tried, as ``_walk`` counts them; a
     triangle and the step that closes a cycle at w are not counted."""
+    return in_id_order(g.m, _cycle_masks(g, limit))
+
+
+def _cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
+    """The edge masks of the isometric cycles, in the order the search
+    finds them; see ``isometric_cycles``."""
     spheres = distance_spheres(g)
     edge_bit = _edge_bits(g)
     found: list[int] = []
     tops = _tops(g, spheres, spheres, edge_bit, found)
     _walk(tops, _step_probes, spheres, spheres, edge_bit, limit, found)
-    return in_id_order(g.m, found)
+    return found
 
 
 def _tops(

@@ -44,8 +44,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .graphs import EdgeSet, Graph, build_graph
-from .isometric import in_id_order, isometric_cycles, line_cycle_masks
+from .graphs import EdgeSet, Graph, bit_ids, build_graph
+from .isometric import _cycle_masks, in_id_order, line_cycle_masks
 from .spectra import Invariant, _vertex_sums
 
 
@@ -94,7 +94,7 @@ def classify_line_cycles(
     the images of G's isometric cycles, and the doubles.  Each bucket is
     ordered by the cycles' edge ids in the line graph."""
     lg = line_graph(g)
-    source = {c.bits for c in isometric_cycles(g, limit)}
+    source = set(_cycle_masks(g, limit))
     found = line_cycle_masks(g, limit)
     triples = [
         sum(1 << (e - 1) for e in trio)
@@ -109,7 +109,7 @@ def classify_line_cycles(
 
     def line_edges(mask: int) -> int:
         once = twice = 0
-        for e in EdgeSet.from_bits(g.m, mask):
+        for e in bit_ids(mask):
             twice |= once & inc[e]
             once |= inc[e]
         return twice

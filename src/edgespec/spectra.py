@@ -13,11 +13,19 @@ isometric cycles plus one column for the rim, so tau0 = Y·Yᵀ.  The build
 takes each level step through W in two sparse XOR passes, about 3m XORs
 per level for cuts whatever the density, and builds W only for the first
 step past the base level, after checking that the step maps the identity
-to M.  A row dies (shows an empty cell) the moment its value is zero or
-repeats an earlier value of the same row.  Construction stops when every
-row is dead or at an explicit level cap.  Because every power of M is
-symmetric, the weight of edge e at a level is the popcount of row e
-masked by the rows still alive there.
+to M.  The base rows are integer masks too: w0(e) is the XOR of the two
+endpoint incidence masks, and tau0 XORs each column of Y into the row of
+every edge it holds.  The public base tables wrap these rows once, at the
+end.  The build checks once that M is symmetric with an empty diagonal;
+the weights below rely on it.  On up to 1,024 rows that are not too
+sparse the check transposes the whole matrix packed into one integer;
+on the rest it walks the set bits, so a large sparse matrix costs one
+step per set bit, not per bit of the matrix.  A row dies (shows an
+empty cell) the moment its value is zero or repeats an earlier value of
+the same row.  Construction stops when every row is dead or at an
+explicit level cap.  Because every power
+of M is symmetric, the weight of edge e at a level is the popcount of
+row e masked by the rows still alive there.
 
 Each live row keeps the set of values it has held, but only through
 level m, the edge count; past it the death check only looks values up.
@@ -42,14 +50,14 @@ weights; its compare cascade stops at the first level that differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, zip_longest
 from operator import itemgetter, xor
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotNonseparable, VertexOutOfRange
-from .graphs import EdgeSet, Graph, central_cut, is_nonseparable
-from .isometric import isometric_cycles
+from .graphs import EdgeSet, Graph, bit_ids, is_nonseparable
+from .isometric import _cycle_masks
 
 Cell = EdgeSet | None
 Weights = tuple[tuple[int, ...], tuple[int, ...]]
@@ -153,13 +161,23 @@ def gamma(s: EdgeSet, base: Sequence[EdgeSet]) -> EdgeSet:
     return EdgeSet.from_bits(s.m, _ring_sum_of(s.bits, [b.bits for b in base]))
 
 
+def _wrap(g: Graph, rows: Iterable[int]) -> tuple[EdgeSet, ...]:
+    return tuple(EdgeSet.from_bits(g.m, r) for r in rows)
+
+
+def _cut_rows(g: Graph) -> tuple[int, ...]:
+    """w0(e) for every edge e = uv as a mask: the XOR of the incidence
+    masks of u and v, the central cuts, which both hold e."""
+    inc = [0] * (g.n + 1)
+    for e, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << e
+        inc[v] |= 1 << e
+    return tuple(inc[u] ^ inc[v] for u, v in g.edges)
+
+
 def base_edge_cuts(g: Graph) -> tuple[EdgeSet, ...]:
     """w0(e) for every edge: ring sum of the endpoint central cuts."""
-    cut = [None] + [central_cut(g, v) for v in g.vertices]
-    out = []
-    for u, v in g.edges:
-        out.append(cut[u] ^ cut[v])
-    return tuple(out)
+    return _wrap(g, _cut_rows(g))
 
 
 def gamma_w(g: Graph, s: EdgeSet) -> EdgeSet:
@@ -247,24 +265,108 @@ def _cut_slots(g: Graph) -> list[tuple[int, ...]]:
     return [g.incident_edges(v) for v in g.vertices]
 
 
-def _cycle_slots(g: Graph, cycles: tuple[EdgeSet, ...]) -> list[tuple[int, ...]]:
-    """Columns of Y with Y·Yᵀ = the base edge cycles: one slot per
-    isometric cycle, plus the rim."""
-    return [c.ids() for c in cycles] + [rim(g, cycles).ids()]
+def _with_rim(masks: Sequence[int]) -> list[int]:
+    """The columns of Y with Y·Yᵀ = the base edge cycles, as masks: the
+    isometric cycles, plus the rim, their ring sum."""
+    return [*masks, reduce(xor, masks, 0)]
 
 
-def _symmetric_with_empty_diagonal(matrix: Sequence[int]) -> bool:
-    """Whether bit j of row i always equals bit i of row j and no row holds
-    its own bit; only the set bits are visited."""
+def _cycle_slots(masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """The columns of Y as edge ids: one slot per isometric cycle, plus
+    the rim."""
+    return [bit_ids(c) for c in _with_rim(masks)]
+
+
+def _cycle_rows(m: int, masks: Sequence[int]) -> tuple[int, ...]:
+    """tau0(e) for every edge e as a mask, from the isometric cycles'
+    masks: each column of Y, the rim included, is XORed into the row of
+    every edge it holds, over its set bits."""
+    rows = [0] * m
+    for c in _with_rim(masks):
+        bits = c
+        while bits:
+            low = bits & -bits
+            rows[low.bit_length() - 1] ^= c
+            bits ^= low
+    return tuple(rows)
+
+
+# The symmetry check transposes matrices up to this width; it keeps the
+# swap masks of every width up to it, about 1.7 MB in all
+_MAX_PACKED_WIDTH = 1024
+# A step of the per-bit walk costs about as much as 1,000 to 3,000
+# bit-rounds of the transpose (CPython 3.11, x86_64); the check transposes
+# only when that costs at most this many bit-rounds per set bit
+_BIT_ROUNDS_PER_STEP = 1024
+
+
+def _packed_width(m: int) -> int:
+    """The least power of two w >= 8 that holds m bits."""
+    return max(8, 1 << (m - 1).bit_length())
+
+
+@cache
+def _swap_rounds(w: int) -> tuple[tuple[int, int], ...]:
+    """For a w×w bit matrix laid out row i at bits i·w to i·w + w - 1, w a
+    power of two and at least 8: the (shift, mask) of each block-swap round
+    of its transpose.
+
+    The round for block size s swaps bit j of row i with bit j - s of row
+    i + s wherever i has bit s clear and j has it set: the mask holds the
+    first of each pair, and its partner sits s·(w - 1) bits higher."""
+    width = w >> 3
+    rounds = []
+    s = w >> 1
+    while s:
+        # the bits j of a row that have bit s set: s ones in every 2s bits
+        row = ((1 << w) - 1) // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)
+        block = row.to_bytes(width, "little") * s + bytes(width * s)
+        rounds.append((s * (w - 1), int.from_bytes(block * (w // (2 * s)), "little")))
+        s >>= 1
+    return tuple(rounds)
+
+
+def _symmetric_by_transpose(matrix: Sequence[int]) -> bool:
+    """Whether bit j of row i always equals bit i of row j, by one
+    transpose: the rows are laid end to end, w = _packed_width(len(matrix))
+    bits each, and the whole w×w bit matrix is transposed in log2 w masked
+    block swaps (Hacker's Delight, §7-3).  It costs about w²·log2 w bit
+    operations, whatever the number of set bits."""
+    w = _packed_width(len(matrix))
+    packed = int.from_bytes(b"".join(r.to_bytes(w >> 3, "little") for r in matrix), "little")
+    t = packed
+    for shift, mask in _swap_rounds(w):
+        d = (t ^ t >> shift) & mask
+        t ^= d ^ d << shift
+    return t == packed
+
+
+def _symmetric_by_bits(matrix: Sequence[int]) -> bool:
+    """The same test, visiting the set bits one by one: one Python step
+    per set bit."""
     for i, r in enumerate(matrix):
-        if (r >> i) & 1:
-            return False
         while r:
             low = r & -r
-            if not (matrix[low.bit_length() - 1] >> i) & 1:
+            if not matrix[low.bit_length() - 1] >> i & 1:
                 return False
             r ^= low
     return True
+
+
+def _symmetric_with_empty_diagonal(matrix: Sequence[int]) -> bool:
+    """Whether, for rows of len(matrix) bits, bit j of row i always equals
+    bit i of row j and no row holds its own bit.  The symmetry test
+    transposes small matrices that are not too sparse, where that is the
+    cheaper path, and walks the set bits of the rest, so on a large
+    sparse matrix it costs one step per set bit, not per bit of the
+    matrix."""
+    if any(r >> i & 1 for i, r in enumerate(matrix)):
+        return False
+    w = _packed_width(len(matrix))
+    set_bits = sum(r.bit_count() for r in matrix)
+    if w <= _MAX_PACKED_WIDTH and w * w * (w.bit_length() - 1) <= _BIT_ROUNDS_PER_STEP * set_bits:
+        return _symmetric_by_transpose(matrix)
+    return _symmetric_by_bits(matrix)
 
 
 class _Builder:
@@ -286,13 +388,12 @@ class _Builder:
         self,
         kind: str,
         g: Graph,
-        base: tuple[EdgeSet, ...],
+        matrix: tuple[int, ...],
         factor: Callable[[], Callable[[tuple[int, ...]], tuple[int, ...]]],
         level_cap: int | None,
     ) -> None:
         if level_cap is not None and level_cap < 1:
             raise VertexOutOfRange(f"level cap {level_cap} must be at least 1")
-        matrix = tuple(b.bits for b in base)
         # every power of a symmetric M is symmetric, which the masked-popcount
         # weights rely on
         assert _symmetric_with_empty_diagonal(matrix)
@@ -384,7 +485,7 @@ def _check_nonseparable(g: Graph) -> None:
 def _cut_builder(g: Graph, level_cap: int | None) -> _Builder:
     """Cut spectrum builder without the nonseparability gate."""
     return _Builder(
-        "cut", g, base_edge_cuts(g), lambda: _factor_step(g.m, _cut_slots(g)), level_cap
+        "cut", g, _cut_rows(g), lambda: _factor_step(g.m, _cut_slots(g)), level_cap
     )
 
 
@@ -400,14 +501,14 @@ def cut_spectrum_unchecked(g: Graph, level_cap: int | None = None) -> Spectrum:
     return _cut_builder(g, level_cap).spectrum()
 
 
+def _masks(g: Graph, cycles: tuple[EdgeSet, ...] | None) -> Sequence[int]:
+    """The masks of the given cycles, or of g's isometric cycles."""
+    return _cycle_masks(g) if cycles is None else [c.bits for c in cycles]
+
+
 def rim(g: Graph, cycles: tuple[EdgeSet, ...] | None = None) -> EdgeSet:
     """Ring sum of all isometric cycles."""
-    if cycles is None:
-        cycles = isometric_cycles(g)
-    acc = 0
-    for c in cycles:
-        acc ^= c.bits
-    return EdgeSet.from_bits(g.m, acc)
+    return EdgeSet.from_bits(g.m, reduce(xor, _masks(g, cycles), 0))
 
 
 def base_edge_cycles(
@@ -415,35 +516,18 @@ def base_edge_cycles(
 ) -> tuple[EdgeSet, ...]:
     """tau0(e): ring sum of the isometric cycles through e, plus the rim
     when e lies on the rim.  The result never contains e itself."""
-    if cycles is None:
-        cycles = isometric_cycles(g)
-    acc = [0] * (g.m + 1)
-    rim_bits = 0
-    for c in cycles:
-        rim_bits ^= c.bits
-        for e in c:
-            acc[e] ^= c.bits
-    out = []
-    for e in g.edge_ids:
-        bits = acc[e]
-        if (rim_bits >> (e - 1)) & 1:
-            bits ^= rim_bits
-        out.append(EdgeSet.from_bits(g.m, bits))
-    return tuple(out)
+    return _wrap(g, _cycle_rows(g.m, _masks(g, cycles)))
 
 
-def _cycle_builder(
-    g: Graph, level_cap: int | None, cycles: tuple[EdgeSet, ...] | None
-) -> _Builder:
-    """Cycle spectrum builder without the nonseparability gate, for callers
-    that checked g when they built its cut spectrum."""
-    if cycles is None:
-        cycles = isometric_cycles(g)
+def _cycle_builder(g: Graph, level_cap: int | None, masks: Sequence[int]) -> _Builder:
+    """Cycle spectrum builder over the isometric cycles' masks, without the
+    nonseparability gate, for callers that checked g when they built its
+    cut spectrum."""
     return _Builder(
         "cycle",
         g,
-        base_edge_cycles(g, cycles),
-        lambda: _factor_step(g.m, _cycle_slots(g, cycles)),
+        _cycle_rows(g.m, masks),
+        lambda: _factor_step(g.m, _cycle_slots(masks)),
         level_cap,
     )
 
@@ -455,7 +539,7 @@ def build_cycle_spectrum(
 ) -> Spectrum:
     """Iterated gamma table over the base edge cycles of a nonseparable graph."""
     _check_nonseparable(g)
-    return _cycle_builder(g, level_cap, cycles).spectrum()
+    return _cycle_builder(g, level_cap, _masks(g, cycles)).spectrum()
 
 
 def _vertex_sums(g: Graph, xi: Sequence[int]) -> list[int]:

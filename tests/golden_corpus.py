@@ -169,12 +169,15 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         fresh = digests(Path(tmp).resolve())
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    if old == fresh:
+        print(f"all {len(fresh)} digests match")
+        sys.exit(0)
     changed = differences(old, fresh) if old else []
     for case in changed:
         print(f"differs: {case}")
     if old and not opts.force:
         print(f"{len(changed)} of {len(fresh)} digests differ; nothing written without --force")
-        sys.exit(1 if changed else 0)
+        sys.exit(1)
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(fresh)} digests to {DIGESTS}")

@@ -3,10 +3,33 @@
 This is the direct reading of the definitions that edgespec.spectra
 replaced with integer rows of M^(l+1) and masked popcounts.  The oracle
 tests require both to agree exactly.  The build also keeps the whole-level
-repeat stop, so the tests confirm that it never fires.
+repeat stop, so the tests confirm that it never fires.  The base tables
+come from their definitions too, without the package's tables: central
+cuts as EdgeSets, and the cycles through each edge by membership.
 """
 
-from edgespec import Invariant, SpectrumInvariant, gamma
+from functools import reduce
+from operator import xor
+
+from edgespec import EdgeSet, Invariant, SpectrumInvariant, gamma
+
+
+def base_edge_cuts(g):
+    """w0(e), e = uv: the ring sum of the central cuts of u and v."""
+    cut = [None] + [EdgeSet(g.m, g.incident_edges(v)) for v in g.vertices]
+    return tuple(cut[u] ^ cut[v] for u, v in g.edges)
+
+
+def base_edge_cycles(g, cycles):
+    """tau0(e): the ring sum of the cycles that hold e, plus the rim, the
+    ring sum of all the cycles, when e lies on it."""
+    empty = EdgeSet(g.m)
+    rim = reduce(xor, cycles, empty)
+    out = []
+    for e in g.edge_ids:
+        through = reduce(xor, (c for c in cycles if e in c), empty)
+        out.append(through ^ rim if e in rim else through)
+    return tuple(out)
 
 
 def build(g, base, level_cap):

@@ -370,7 +370,9 @@ def test_criterion_10(capsys):
     """Cut spectrum construction scales gently as cubic graphs double."""
     rng = Random(7)
     timings = []
-    for n in (32, 64, 128):
+    # up to 3,072 edges, where the base symmetry check must follow the set
+    # bits and not the m² bits of the matrix
+    for n in (32, 64, 128, 256, 512, 1024, 2048):
         g = fx.random_cubic(rng, n)
         assert g.m == 3 * n // 2
         best = min(

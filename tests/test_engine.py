@@ -342,3 +342,24 @@ def test_deep_invariant_keeps_weights_not_rows():
         tracemalloc.stop()
     assert inv.cut.level_count == 2555
     assert peak < 2 * 1024 * inv.cut.level_count
+
+
+# The engine builds its spectra and its cycle searches on integer masks:
+# EdgeSet is only what the public functions that return one make.
+
+
+def test_engine_paths_construct_no_edge_set(monkeypatch):
+    def no_edge_set(*args, **kwargs):
+        raise AssertionError("an engine path built an EdgeSet")
+
+    monkeypatch.setattr(edgespec.graphs.EdgeSet, "__init__", no_edge_set)
+    monkeypatch.setattr(edgespec.graphs.EdgeSet, "from_bits", no_edge_set)
+    inv = integral_invariant(fx.cubic_plus_edge_10v(), with_line=True)
+    assert str(inv.line) == fx.CUBIC_PLUS_EDGE_IL
+    assert str(integral_invariant(fx.spider_tree())) == fx.SPIDER_IT
+    g = fx.petersen()
+    same = compare_graphs(g, relabel(g, list(range(10, 0, -1))), with_line=True)
+    assert same.verdict is Verdict.ISOMORPHIC
+    cycle = compare_graphs(fx.k33(), fx.prism(), max_levels=1)
+    assert cycle.witness == "cycle spectrum base invariant"
+    assert vertex_orbit_partition(g, with_line=True).groups == (tuple(range(1, 11)),)

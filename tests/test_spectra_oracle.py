@@ -1,5 +1,6 @@
 """Integer-row spectra against the per-cell reference in spectra_reference."""
 
+import time
 from random import Random
 
 import pytest
@@ -62,10 +63,10 @@ def assert_matches_reference(spec, base, cap):
 
 
 def check_graph(g):
-    cuts = base_edge_cuts(g)
+    cuts = ref.base_edge_cuts(g)
     for cap in CUT_CAPS:
         assert_matches_reference(build_cut_spectrum(g, cap), cuts, cap)
-    cycles = base_edge_cycles(g)
+    cycles = ref.base_edge_cycles(g, isometric_cycles(g))
     for cap in CYCLE_CAPS:
         assert_matches_reference(build_cycle_spectrum(g, cap), cycles, cap)
 
@@ -84,7 +85,7 @@ def test_fixtures_match_reference(name):
 @pytest.mark.parametrize("n, seed", [(16, 1), (18, 2), (20, 4), (20, 6), (22, 1)])
 def test_deep_cubic_spectra_match_reference(n, seed):
     g = fx.random_cubic(Random(seed), n)
-    assert_matches_reference(build_cut_spectrum(g), base_edge_cuts(g), None)
+    assert_matches_reference(build_cut_spectrum(g), ref.base_edge_cuts(g), None)
 
 
 # edge counts just below, at and just above a multiple of 8: boundary
@@ -100,13 +101,13 @@ def test_byte_boundary_graphs_match_reference(n, m, seed):
 def test_single_edge_matches_reference():
     k2 = fx.k2()
     for cap in CUT_CAPS:
-        assert_matches_reference(cut_spectrum_unchecked(k2, cap), base_edge_cuts(k2), cap)
+        assert_matches_reference(cut_spectrum_unchecked(k2, cap), ref.base_edge_cuts(k2), cap)
 
 
 def test_cubic_64_capped_matches_reference():
     g = fx.random_cubic(Random(3), 64)
     assert g.m == 96
-    assert_matches_reference(build_cut_spectrum(g, 100), base_edge_cuts(g), 100)
+    assert_matches_reference(build_cut_spectrum(g, 100), ref.base_edge_cuts(g), 100)
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,13 +129,13 @@ def test_table_step_agrees_with_public_gamma(seed):
 def test_random_trees_match_reference(seed):
     t = random_tree(Random(seed))
     for cap in CUT_CAPS:
-        assert_matches_reference(cut_spectrum_unchecked(t, cap), base_edge_cuts(t), cap)
+        assert_matches_reference(cut_spectrum_unchecked(t, cap), ref.base_edge_cuts(t), cap)
 
 
 @pytest.mark.parametrize("tree", [fx.spider_tree, fx.caterpillar_tree])
 def test_fixture_trees_match_reference(tree):
     t = tree()
-    assert_matches_reference(cut_spectrum_unchecked(t), base_edge_cuts(t), None)
+    assert_matches_reference(cut_spectrum_unchecked(t), ref.base_edge_cuts(t), None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,6 +151,119 @@ def test_fixture_base_tables_are_symmetric_with_empty_diagonal(name):
     g = fx.NONSEPARABLE_FIXTURES[name]()
     assert ref.is_symmetric_with_empty_diagonal(base_edge_cuts(g))
     assert ref.is_symmetric_with_empty_diagonal(base_edge_cycles(g))
+
+
+# The integer base rows against the reference tables, which read the
+# definitions and not the package's tables
+
+
+def assert_base_rows_match_reference(g):
+    assert spectra._cut_rows(g) == tuple(b.bits for b in ref.base_edge_cuts(g))
+    cycles = isometric_cycles(g)
+    expected = tuple(b.bits for b in ref.base_edge_cycles(g, cycles))
+    assert spectra._cycle_rows(g.m, [c.bits for c in cycles]) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_base_rows_match_reference_on_random_graphs_and_trees(seed):
+    assert_base_rows_match_reference(fx.random_nonseparable(Random(seed)))
+    assert_base_rows_match_reference(random_tree(Random(seed)))
+
+
+FIXTURES_AND_TREES = {
+    **fx.NONSEPARABLE_FIXTURES,
+    "k2": fx.k2,
+    "spider_tree": fx.spider_tree,
+    "caterpillar_tree": fx.caterpillar_tree,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES_AND_TREES))
+def test_base_rows_match_reference_on_fixtures_and_trees(name):
+    assert_base_rows_match_reference(FIXTURES_AND_TREES[name]())
+
+
+# The builder checks its base either by transposing the rows packed end to
+# end or by walking their set bits; the check and each of its paths must
+# reach the reference's verdict, around every power of two the packing
+# rounds the width up to
+
+
+def random_symmetric(rng, m, density):
+    """Rows of a random symmetric m×m bit matrix with an empty diagonal."""
+    rows = [0] * m
+    for i in range(m):
+        for j in range(i):
+            if rng.random() < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def with_bit_flipped(rows, i, j):
+    out = list(rows)
+    out[i] ^= 1 << j
+    return out
+
+
+def reference_verdict(rows):
+    return ref.is_symmetric_with_empty_diagonal([EdgeSet.from_bits(len(rows), r) for r in rows])
+
+
+def assert_symmetry_check_agrees_with_the_reference(rng, m, density):
+    rows = random_symmetric(rng, m, density)
+    cases = [(rows, True)]
+    if m > 1:
+        # one-sided faults, at random and at both far corners
+        for i, j in (rng.sample(range(m), 2), (0, m - 1), (m - 1, 0)):
+            cases.append((with_bit_flipped(rows, i, j), False))
+    for matrix, symmetric in cases:
+        assert reference_verdict(matrix) is symmetric
+        assert spectra._symmetric_by_transpose(matrix) is symmetric
+        assert spectra._symmetric_by_bits(matrix) is symmetric
+        assert spectra._symmetric_with_empty_diagonal(matrix) is symmetric
+    if m:
+        # a diagonal fault, which only the check itself tests
+        i = rng.randrange(m)
+        matrix = with_bit_flipped(rows, i, i)
+        assert reference_verdict(matrix) is False
+        assert spectra._symmetric_with_empty_diagonal(matrix) is False
+
+
+@pytest.mark.parametrize(
+    "m", [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 180]
+)
+def test_symmetry_check_and_both_its_paths_agree_with_the_reference(m):
+    rng = Random(m)
+    for _ in range(12):
+        assert_symmetry_check_agrees_with_the_reference(rng, m, rng.random())
+
+
+@pytest.mark.parametrize("m", [255, 256, 257, 1023, 1024, 1025])
+def test_symmetry_check_and_both_its_paths_agree_on_large_sparse_matrices(m):
+    # past 1024 rows the check walks the set bits whatever the density
+    rng = Random(m)
+    for density in (0.002, 0.03):
+        assert_symmetry_check_agrees_with_the_reference(rng, m, density)
+
+
+def test_symmetry_check_grows_with_the_set_bits_on_large_sparse_rows():
+    # the cut rows of a cubic graph hold 4 bits each: on 4 times the edges
+    # the walk over the set bits takes about 6 times as long, and a check
+    # that transposed the whole padded matrix took about 30 times
+    timings = []
+    for n in (512, 2048):
+        rows = spectra._cut_rows(fx.random_cubic(Random(7), n))
+        check = lambda: spectra._symmetric_with_empty_diagonal(rows)
+        timings.append(min(timed(check) for _ in range(5)))
+    assert timings[1] <= 10 * timings[0], timings
+
+
+def timed(fn):
+    start = time.perf_counter()
+    assert fn()
+    return time.perf_counter() - start
 
 
 def assert_double_count_identity(spec):
@@ -217,7 +331,7 @@ def assert_factors_give_the_bases(g):
         b.bits for b in base_edge_cuts(g)
     )
     cycles = isometric_cycles(g)
-    assert identity_step(g, spectra._cycle_slots(g, cycles)) == tuple(
+    assert identity_step(g, spectra._cycle_slots([c.bits for c in cycles])) == tuple(
         b.bits for b in base_edge_cycles(g, cycles)
     )
 
@@ -253,7 +367,7 @@ def test_factor_step_gives_the_bases_on_padded_and_rimless_graphs(graph):
 
 def test_k4_has_an_empty_rim():
     g = fx.k_n(4)
-    assert spectra._cycle_slots(g, isometric_cycles(g))[-1] == ()
+    assert spectra._cycle_slots([c.bits for c in isometric_cycles(g)])[-1] == ()
 
 
 # A factor XORs the part of its longest slot past the second longest, the
@@ -272,7 +386,7 @@ def assert_folded_factors_give_the_bases(g):
     identity = (0, *(1 << i for i in range(g.m)))
     for slots, base in (
         (spectra._cut_slots(g), base_edge_cuts(g)),
-        (spectra._cycle_slots(g, cycles), base_edge_cycles(g, cycles)),
+        (spectra._cycle_slots([c.bits for c in cycles]), base_edge_cycles(g, cycles)),
     ):
         step = spectra._factor_step(g.m, slots)
         assert step(identity) == (0, *(b.bits for b in base))
@@ -320,7 +434,7 @@ def test_cut_pass_one_folds_the_hub(monkeypatch):
 
 def test_rim_past_the_cycles_is_folded(monkeypatch):
     g = fx.rook_4x4()
-    slots = spectra._cycle_slots(g, isometric_cycles(g))
+    slots = spectra._cycle_slots([c.bits for c in isometric_cycles(g)])
     assert max(map(len, slots)) == g.m
     (groups,) = pass_one_groups(monkeypatch, lambda: build_cycle_spectrum(g, None))
     assert len(groups) == len(slots) + 1
@@ -330,14 +444,14 @@ def test_rim_past_the_cycles_is_folded(monkeypatch):
 def test_star_matches_reference():
     g = star(8)
     for cap in CUT_CAPS:
-        assert_matches_reference(cut_spectrum_unchecked(g, cap), base_edge_cuts(g), cap)
+        assert_matches_reference(cut_spectrum_unchecked(g, cap), ref.base_edge_cuts(g), cap)
 
 
 def test_single_edge_cycle_spectrum_matches_reference():
     k2 = fx.k2()
     for cap in CYCLE_CAPS:
         spec = build_cycle_spectrum(k2, cap)
-        assert_matches_reference(spec, base_edge_cycles(k2), cap)
+        assert_matches_reference(spec, ref.base_edge_cycles(k2, ()), cap)
 
 
 # Past level m (m = edge count) the build stops adding each live row's
@@ -420,14 +534,14 @@ def broom(k, j):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_random_trees_to_30_vertices_match_reference_at_cap_300(seed):
     t = random_tree(Random(seed), 3, 30)
-    assert_matches_reference(cut_spectrum_unchecked(t, 300), base_edge_cuts(t), 300)
+    assert_matches_reference(cut_spectrum_unchecked(t, 300), ref.base_edge_cuts(t), 300)
 
 
 def test_tree_with_a_late_first_repeat_matches_reference():
     t = broom(14, 3)
     # a row dies at level 15 on the value it first held at level 14
     assert (15, 14) in first_repeats(bits(base_edge_cuts(t)))
-    assert_matches_reference(cut_spectrum_unchecked(t, 300), base_edge_cuts(t), 300)
+    assert_matches_reference(cut_spectrum_unchecked(t, 300), ref.base_edge_cuts(t), 300)
 
 
 @pytest.mark.parametrize("n, seed", [(18, 2), (20, 4), (20, 6), (22, 1)])
