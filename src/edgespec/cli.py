@@ -30,7 +30,7 @@ from .errors import EdgespecError, GrfParseError
 from .graphs import Graph, bit_ids
 from .grf import load_graph, parse_edgelist, parse_grf
 from .isometric import cycle_order, isometric_cycles
-from .linegraph import classify_line_cycles, line_weights
+from .linegraph import _line_weights, classify_line_cycles
 from .spectra import (
     Invariant,
     Spectrum,
@@ -280,14 +280,13 @@ def linegraph(path: str, fmt: str) -> None:
     """Line graph size, cycle classification, and the line invariant."""
     g = _load(path)
     _warn_line(g)
-    lg, cls = classify_line_cycles(g)
-    vertex_sets = (image for _, image in cls.triples + cls.images + cls.doubles)
-    inv = Invariant.from_weights(*line_weights(g, vertex_sets))
+    cls = classify_line_cycles(g)
+    inv = Invariant.from_weights(*_line_weights(g, cls.images + cls.doubles))
     triples, images, doubles = cls.counts
     if fmt == "machine":
         payload = {
-            "line_n": lg.graph.n,
-            "line_m": lg.graph.m,
+            "line_n": cls.line_n,
+            "line_m": cls.line_m,
             "cycles": triples + images + doubles,
             "triples": triples,
             "images": images,
@@ -296,7 +295,7 @@ def linegraph(path: str, fmt: str) -> None:
         }
         _emit_machine(payload)
         return
-    _echo(f"line graph: {lg.graph.n} vertices, {lg.graph.m} edges")
+    _echo(f"line graph: {cls.line_n} vertices, {cls.line_m} edges")
     _echo(f"isometric cycles: {triples + images + doubles}")
     _echo(f"vertex triples: {triples}")
     _echo(f"cycle images: {images}")

@@ -32,20 +32,17 @@ So the isometric cycles of L(G) fall into three classes: the triples
 spanned by three edges at a common vertex, C(d_u - 1, 2) + C(d_v - 1, 2)
 of them through the edge (u, v); the images of the isometric cycles of G;
 and the doubled cycles, the other cycles of ``line_cycle_masks``, whose
-edge sets ring-sum at least two source cycles together.  Only
-``classify_line_cycles`` builds L(G), to give each cycle its edge set in
-L(G).
+edge sets ring-sum at least two source cycles together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Sequence
 
-from .graphs import EdgeSet, Graph, bit_ids, build_graph
-from .isometric import _cycle_masks, in_id_order, line_cycle_masks
+from .graphs import Graph, build_graph
+from .isometric import _cycle_masks, line_cycle_masks
 from .spectra import Invariant, _vertex_sums
 
 
@@ -72,77 +69,44 @@ def line_graph(g: Graph) -> LineGraph:
 
 @dataclass(frozen=True)
 class LineCycleClassification:
-    """Isometric cycles of the line graph, bucketed with their edge images.
+    """The isometric cycles of the line graph, read from the source graph.
 
-    Each entry pairs the cycle (an edge set of the line graph) with its
-    image (the cycle's vertex set read as source edge ids).
+    line_n and line_m are the size of L(G) and triples the number of vertex
+    triples, all from the degrees; images and doubles are the source edge
+    masks of the other line cycles, those that are isometric cycles of G
+    and the rest, in the order ``line_cycle_masks`` finds them.
     """
 
-    triples: tuple[tuple[EdgeSet, EdgeSet], ...]
-    images: tuple[tuple[EdgeSet, EdgeSet], ...]
-    doubles: tuple[tuple[EdgeSet, EdgeSet], ...]
+    line_n: int
+    line_m: int
+    triples: int
+    images: tuple[int, ...]
+    doubles: tuple[int, ...]
 
     @property
     def counts(self) -> tuple[int, int, int]:
-        return (len(self.triples), len(self.images), len(self.doubles))
+        return (self.triples, len(self.images), len(self.doubles))
 
 
-def classify_line_cycles(
-    g: Graph, limit: int = 10**6
-) -> tuple[LineGraph, LineCycleClassification]:
-    """Bucket the isometric cycles of the line graph: the vertex triples,
-    the images of G's isometric cycles, and the doubles.  Each bucket is
-    ordered by the cycles' edge ids in the line graph."""
-    lg = line_graph(g)
+def classify_line_cycles(g: Graph, limit: int = 10**6) -> LineCycleClassification:
+    """Classify the isometric cycles of the line graph: the vertex triples,
+    the images of G's isometric cycles, and the doubles."""
     source = set(_cycle_masks(g, limit))
     found = line_cycle_masks(g, limit)
-    triples = [
-        sum(1 << (e - 1) for e in trio)
-        for v in g.vertices
-        for trio in combinations(g.incident_edges(v), 3)
-    ]
-
-    # a line cycle's edges are the edges of L(G) met at two of its
-    # vertices: its cycle of length >= 4 has no chord, and a triple or a
-    # triangle is three pairwise adjacent vertices
-    inc = [0] + [sum(1 << (f - 1) for f in lg.graph.incident_edges(e)) for e in g.edge_ids]
-
-    def line_edges(mask: int) -> int:
-        once = twice = 0
-        for e in bit_ids(mask):
-            twice |= once & inc[e]
-            once |= inc[e]
-        return twice
-
-    def bucket(masks: Iterable[int]) -> tuple[tuple[EdgeSet, EdgeSet], ...]:
-        image = {line_edges(mask): mask for mask in masks}
-        return tuple(
-            (lc, EdgeSet.from_bits(g.m, image[lc.bits]))
-            for lc in in_id_order(lg.graph.m, image)
-        )
-
-    return lg, LineCycleClassification(
-        bucket(triples),
-        bucket(b for b in found if b in source),
-        bucket(b for b in found if b not in source),
+    deg = g.degrees()
+    return LineCycleClassification(
+        g.m,
+        sum(comb(d, 2) for d in deg),
+        sum(comb(d, 3) for d in deg),
+        tuple(b for b in found if b in source),
+        tuple(b for b in found if b not in source),
     )
 
 
-def line_weights(g: Graph, images: Iterable[Iterable[int]]) -> tuple[list[int], list[int]]:
-    """xi[e - 1] counts the line-cycle vertex sets (source edge ids) that
-    contain e; zeta[v - 1] sums xi over the edges at v."""
-    xi = [0] * g.m
-    for image in images:
-        for e in image:
-            xi[e - 1] += 1
-    return xi, _vertex_sums(g, xi)
-
-
-def line_cycle_weights(g: Graph, limit: int = 10**6) -> tuple[list[int], list[int]]:
-    """line_weights over the isometric cycles of the line graph: the
-    vertex triples through each edge by formula, then the cycles of G that
-    ``line_cycle_masks`` finds."""
-    masks = line_cycle_masks(g, limit)
+def _line_weights(g: Graph, masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """xi[e - 1] counts the isometric line cycles through line vertex e: the
+    vertex triples through edge e by formula, then the given masks of the
+    other line cycles that hold e; zeta[v - 1] sums xi over the edges at v."""
     # the masks end to end, one per `width` bytes: bit e of every mask is
     # then one popcount of the row shifted by e and cut to each lowest bit
     width = g.m // 8 + 1
@@ -154,6 +118,12 @@ def line_cycle_weights(g: Graph, limit: int = 10**6) -> tuple[list[int], list[in
         for e, (u, v) in enumerate(g.edges)
     ]
     return xi, _vertex_sums(g, xi)
+
+
+def line_cycle_weights(g: Graph, limit: int = 10**6) -> tuple[list[int], list[int]]:
+    """Per-edge and per-vertex counts of the isometric cycles of the line
+    graph, over the cycles of G that ``line_cycle_masks`` finds."""
+    return _line_weights(g, line_cycle_masks(g, limit))
 
 
 def digital_invariant_IL(g: Graph, limit: int = 10**6) -> Invariant:

@@ -496,8 +496,9 @@ def build_cut_spectrum(g: Graph, level_cap: int | None = None) -> Spectrum:
 
 
 def cut_spectrum_unchecked(g: Graph, level_cap: int | None = None) -> Spectrum:
-    """Cut spectrum without the nonseparability gate; the tree invariant
-    uses this on trees, where cuts are defined but cycles are not."""
+    """Cut spectrum without the nonseparability gate, for trees, where
+    cuts are defined but cycles are not.  No engine path calls it: the tree
+    invariant weighs its levels through the builder and keeps no rows."""
     return _cut_builder(g, level_cap).spectrum()
 
 
@@ -569,10 +570,8 @@ def spectrum_edge_weights(spec: Spectrum | _Builder) -> LevelWeights:
     return _level_table(xi for xi, _ in spec.weights)
 
 
-def vertex_weights(
-    spec: Spectrum | _Builder, edge_weights: LevelWeights | None = None
-) -> LevelWeights:
-    """zeta_l(v), xi_l summed at v, as recorded; edge_weights is not read."""
+def vertex_weights(spec: Spectrum | _Builder) -> LevelWeights:
+    """zeta_l(v), xi_l summed at v, as recorded."""
     return _level_table(zeta for _, zeta in spec.weights)
 
 

@@ -3,7 +3,7 @@
 The corpus runs every command on every ``NONSEPARABLE_FIXTURES`` graph,
 two trees, a few fixed-seed random graphs and a 66-edge cubic graph past
 the CLI's level-cap threshold, in both formats, plus one run per exit-2
-path.  ``tests/golden/digests.json`` holds the digests that
+path and a few runs on hand-written files.  ``tests/golden/digests.json`` holds the digests that
 ``test_golden.py`` requires the CLI to reproduce.
 
 Regenerate the file with ``python tests/golden_corpus.py --force`` after
@@ -57,9 +57,10 @@ def reversed_edges(g) -> list[tuple[int, int]]:
 
 
 # (case, file name, file contents, command line) for each exit-2 path the
-# graph runs do not reach, and for the offset format and a file that names
-# no format; {} in a command line stands for the file, and file names are
-# distinct, as every file is written before the first run
+# graph runs do not reach, for the offset format, for a file that names no
+# format and for a one-vertex graph, whose line graph is empty; {} in a
+# command line stands for the file, and file names are distinct, as every
+# file is written before the first run
 FILE_RUNS = (
     ("missing file", None, None, ["invariant", "{}"]),
     ("missing second file", "k3.edges", "1 2\n2 3\n1 3\n", ["compare", "{}", "nope.edges"]),
@@ -79,6 +80,7 @@ FILE_RUNS = (
     ("abbreviation", "k3.edges", "1 2\n2 3\n1 3\n", ["invariant", "{}", "--max", "2"]),
     ("grf file", "k4.grf", "4\n1 4 7 10 13\n2 3 4\n1 3 4\n1 2 4\n1 2 3\n", ["invariant", "{}"]),
     ("sniffed file", "k4", "4\n1 4 7 10 13\n2 3 4\n1 3 4\n1 2 4\n1 2 3\n", ["orbits", "{}"]),
+    ("one vertex", "one.grf", "1\n1 1\n", ["linegraph", "{}"]),
 )
 
 

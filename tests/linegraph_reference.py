@@ -8,19 +8,41 @@ buckets the cycles by those images.  It still checks the two counting
 identities that the source-graph search makes true by construction: the
 vertex triples number the sum of C(d, 3), and the images are exactly the
 isometric cycles of G.  The oracle tests require both paths to give the
-same weights, invariants and buckets, in the same order.
+same weights and invariants, the same line graph size and class counts,
+and the same image and double edge sets.  The tests that read a bucket's
+order or a cycle's edge set in L(G) read them here; ``line_weights``
+counts xi and zeta over any list of images, such as the wave-confirmed
+line cycles of the acceptance tests.
 """
 
+from dataclasses import dataclass
 from math import comb
 
 from edgespec import (
+    EdgeSet,
     IdentityMismatch,
     Invariant,
     cycle_vertices,
     isometric_cycles,
     line_graph,
 )
-from edgespec.linegraph import LineCycleClassification, line_weights
+
+
+@dataclass(frozen=True)
+class LineCycleClassification:
+    """Isometric cycles of the line graph, bucketed with their edge images.
+
+    Each entry pairs the cycle (an edge set of the line graph) with its
+    image (the cycle's vertex set read as source edge ids).
+    """
+
+    triples: tuple[tuple[EdgeSet, EdgeSet], ...]
+    images: tuple[tuple[EdgeSet, EdgeSet], ...]
+    doubles: tuple[tuple[EdgeSet, EdgeSet], ...]
+
+    @property
+    def counts(self):
+        return (len(self.triples), len(self.images), len(self.doubles))
 
 
 def classify_line_cycles(g, limit=10**6):
@@ -65,6 +87,16 @@ def _common_vertex(g, image):
         if not shared:
             return None
     return min(shared)
+
+
+def line_weights(g, images):
+    """xi[e - 1] counts the line-cycle vertex sets (source edge ids) that
+    contain e; zeta[v - 1] sums xi over the edges at v."""
+    xi = [0] * g.m
+    for image in images:
+        for e in image:
+            xi[e - 1] += 1
+    return xi, [sum(xi[e - 1] for e in g.incident_edges(v)) for v in g.vertices]
 
 
 def line_cycle_weights(g, limit=10**6):

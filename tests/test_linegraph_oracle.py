@@ -1,5 +1,6 @@
 """The source-graph line-cycle search against the line-graph path in linegraph_reference."""
 
+import json
 from dataclasses import replace
 from random import Random
 
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgespec.cli
 import edgespec.engine
+import edgespec.isometric
 import edgespec.linegraph
+import edgespec.spectra
 from edgespec import (
     CandidateOverflow,
     Verdict,
@@ -24,7 +28,7 @@ from edgespec import (
     relabel,
     vertex_orbit_partition,
 )
-from edgespec.linegraph import line_cycle_weights
+from edgespec.linegraph import _line_weights, line_cycle_weights
 
 import fixtures as fx
 import linegraph_reference as ref
@@ -32,12 +36,17 @@ from test_isometric_oracle import FIXTURES
 
 
 def assert_matches_reference(g):
-    assert line_cycle_weights(g) == ref.line_cycle_weights(g)
+    weights = ref.line_cycle_weights(g)
+    assert line_cycle_weights(g) == weights
     assert digital_invariant_IL(g) == ref.digital_invariant_IL(g)
-    lg, cls = classify_line_cycles(g)
+    cls = classify_line_cycles(g)
     ref_lg, ref_cls = ref.classify_line_cycles(g)
-    assert lg == ref_lg
-    assert cls == ref_cls
+    assert cls.counts == ref_cls.counts
+    assert (cls.line_n, cls.line_m) == (ref_lg.graph.n, ref_lg.graph.m)
+    assert sorted(cls.images) == sorted(image.bits for _, image in ref_cls.images)
+    assert sorted(cls.doubles) == sorted(image.bits for _, image in ref_cls.doubles)
+    # the linegraph command's IL route: the classification's own masks
+    assert _line_weights(g, cls.images + cls.doubles) == weights
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -104,7 +113,7 @@ def test_line_distances_and_cycle_rule(seed):
         assert rule == is_isometric(lg, line_cycle, line_dist)
 
 
-def test_line_invariant_builds_no_line_graph(monkeypatch):
+def test_line_invariant_builds_no_line_graph(monkeypatch, tmp_path, capsys):
     g = fx.g_8v15e()
     with monkeypatch.context() as m:
         m.setattr(edgespec.engine, "digital_invariant_IL", ref.digital_invariant_IL)
@@ -127,6 +136,30 @@ def test_line_invariant_builds_no_line_graph(monkeypatch):
     assert found.witness == "line invariant"
     h = relabel(g, list(g.vertices)[::-1])
     assert compare_graphs(g, h, with_line=True).verdict == Verdict.ISOMORPHIC
+
+    # the linegraph command: one isometric search and one line pass per run
+    calls = []
+    for name in ("_cycle_masks", "line_cycle_masks"):
+        original = getattr(edgespec.isometric, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for mod in (edgespec.isometric, edgespec.linegraph, edgespec.spectra, edgespec.engine, edgespec.cli):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, spy)
+    path = tmp_path / "g.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+    capsys.readouterr()
+    edgespec.cli.main.main(["linegraph", str(path)], standalone_mode=False)
+    assert sorted(calls) == ["_cycle_masks", "line_cycle_masks"]
+    assert f"double cycles: {fx.G_8V15E_LINE_COUNTS[2]}" in capsys.readouterr().out.splitlines()
+    calls.clear()
+    edgespec.cli.main.main(["linegraph", str(path), "--format", "machine"], standalone_mode=False)
+    assert sorted(calls) == ["_cycle_masks", "line_cycle_masks"]
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["triples"], payload["images"], payload["doubles"]) == fx.G_8V15E_LINE_COUNTS
 
 
 @pytest.mark.parametrize("name", ["octahedron", "petersen", "g_8v15e"])

@@ -38,7 +38,7 @@ def test_rim_correction_base_weights():
     spec = build_cycle_spectrum(fx.g_5v7e())
     xi = spectrum_edge_weights(spec)
     assert xi.per_level[0] == fx.G_5V7E_TAU_XI
-    assert vertex_weights(spec, xi).per_level[0] == fx.G_5V7E_TAU_ZETA
+    assert vertex_weights(spec).per_level[0] == fx.G_5V7E_TAU_ZETA
 
 
 def test_base_cycles_match_explicit_ring_sums():
@@ -63,7 +63,7 @@ def test_deep_example_base_weights():
     spec = build_cycle_spectrum(fx.g_8v15e())
     xi = spectrum_edge_weights(spec)
     assert xi.per_level[0] == fx.G_8V15E_TAU_XI
-    assert vertex_weights(spec, xi).per_level[0] == fx.G_8V15E_TAU_ZETA
+    assert vertex_weights(spec).per_level[0] == fx.G_8V15E_TAU_ZETA
 
 
 def test_prism_base_sizes():
@@ -97,7 +97,7 @@ class TestWorkedExampleFullTable:
         xi = spectrum_edge_weights(spec)
         assert xi.per_level == fx.G_6V11E_TAU_XI
         assert xi.total == fx.G_6V11E_TAU_XI_TOTAL
-        assert vertex_weights(spec, xi).total == fx.G_6V11E_TAU_ZETA_TOTAL
+        assert vertex_weights(spec).total == fx.G_6V11E_TAU_ZETA_TOTAL
 
     def test_row_participation_counts(self):
         spec = build_cycle_spectrum(fx.g_6v11e(), level_cap=None)

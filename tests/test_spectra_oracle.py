@@ -55,7 +55,7 @@ def assert_matches_reference(spec, base, cap):
     xi = spectrum_edge_weights(spec)
     ref_xi, ref_xi_total = ref.edge_weights(g.m, levels)
     assert (xi.per_level, xi.total) == (ref_xi, ref_xi_total)
-    zeta = vertex_weights(spec, xi)
+    zeta = vertex_weights(spec)
     assert (zeta.per_level, zeta.total) == ref.vertex_weights(g, ref_xi)
     assert spectrum_invariant(spec) == ref.invariant(
         spec.kind, g, levels, truncated, level_count
