@@ -42,7 +42,6 @@ from .spectra import (
 )
 
 LEVEL_CAP_THRESHOLD = 64
-LINE_WARN_EDGES = 200
 
 
 def _read(path: str) -> str:
@@ -73,14 +72,6 @@ def _effective_levels(g: Graph, max_levels: int | None, kind: str = "cut") -> in
         )
         return 2
     return None
-
-
-def _warn_line(g: Graph) -> None:
-    if g.m > LINE_WARN_EDGES:
-        _echo(
-            f"warning: line invariant over {g.m} edges may be slow",
-            err=True,
-        )
 
 
 def _invariant_dict(inv: Invariant) -> dict:
@@ -125,8 +116,6 @@ def invariant(path: str, max_levels: int | None, with_line_invariant: bool, fmt:
     """Integral invariant of one graph."""
     g = _load(path)
     cap = _effective_levels(g, max_levels)
-    if with_line_invariant:
-        _warn_line(g)
     inv = integral_invariant(g, max_levels=cap, with_line=with_line_invariant)
     if fmt == "machine":
         payload = {
@@ -154,9 +143,6 @@ def compare(
     g = _load(path_a)
     h = _load(path_b)
     cap_g = _effective_levels(g, max_levels)
-    if with_line_invariant:
-        _warn_line(g)
-        _warn_line(h)
     result = compare_graphs(
         g,
         h,
@@ -266,8 +252,6 @@ def orbits(path: str, max_levels: int | None, with_line_invariant: bool, fmt: st
     """Candidate vertex orbits from weight signatures."""
     g = _load(path)
     cap = _effective_levels(g, max_levels)
-    if with_line_invariant:
-        _warn_line(g)
     part = vertex_orbit_partition(g, max_levels=cap, with_line=with_line_invariant)
     if fmt == "machine":
         _emit_machine({"groups": [list(grp) for grp in part.groups]})
@@ -279,7 +263,6 @@ def orbits(path: str, max_levels: int | None, with_line_invariant: bool, fmt: st
 def linegraph(path: str, fmt: str) -> None:
     """Line graph size, cycle classification, and the line invariant."""
     g = _load(path)
-    _warn_line(g)
     cls = classify_line_cycles(g)
     inv = Invariant.from_weights(*_line_weights(g, cls.images + cls.doubles))
     triples, images, doubles = cls.counts

@@ -3,29 +3,34 @@
 The base cut of an edge (u,v) is the ring sum of the central cuts of its
 endpoints; the base cycle of an edge is the ring sum of the isometric
 cycles through it, corrected by the rim when the edge lies on it.  Either
-base table is a symmetric 0/1 matrix M over GF(2) with an empty diagonal,
+base table is a 0/1 matrix M over GF(2) with a sparse factor, M = W·Wᵀ,
 and level l of its spectrum holds the rows of M^(l+1): each row applies
-the gamma transform to its previous value.  M has a sparse factor, M =
-W·Wᵀ.  For cuts W is the edge-vertex incidence matrix Bᵀ, so M = BᵀB:
-two edges sharing one endpoint meet once, and an edge meets itself twice,
-which is 0.  For cycles W is Y, the edge-cycle incidence matrix of the
-isometric cycles plus one column for the rim, so tau0 = Y·Yᵀ.  The build
-takes each level step through W in two sparse XOR passes, about 3m XORs
-per level for cuts whatever the density, and builds W only for the first
-step past the base level, after checking that the step maps the identity
-to M.  The base rows are integer masks too: w0(e) is the XOR of the two
-endpoint incidence masks, and tau0 XORs each column of Y into the row of
-every edge it holds.  The public base tables wrap these rows once, at the
-end.  The build checks once that M is symmetric with an empty diagonal;
-the weights below rely on it.  On up to 1,024 rows that are not too
-sparse the check transposes the whole matrix packed into one integer;
-on the rest it walks the set bits, so a large sparse matrix costs one
-step per set bit, not per bit of the matrix.  A row dies (shows an
-empty cell) the moment its value is zero or repeats an earlier value of
-the same row.  Construction stops when every row is dead or at an
-explicit level cap.  Because every power
-of M is symmetric, the weight of edge e at a level is the popcount of
-row e masked by the rows still alive there.
+the gamma transform to its previous value.  For cuts the columns of W
+are the central cuts, W = Bᵀ for the vertex-edge incidence matrix B, so
+M = BᵀB.  For cycles they are the isometric cycles plus the rim, their
+ring sum, so tau0 = Y·Yᵀ.  A _Builder takes the columns as edge masks
+and appends their ring sum itself: the rim for cycles, and 0 for cuts,
+as every edge lies in two central cuts.  Row e of M is the XOR of the
+columns that hold e, built in one loop over the columns' set bits.  The
+public base tables wrap these rows once, at the end.
+
+Such an M is symmetric with an empty diagonal for any list of columns,
+so the build checks neither.  Bit f of row e counts, mod 2, the columns
+that hold both e and f, and so does bit e of row f.  Bit e of row e
+counts the columns that hold e, and the appended ring sum holds e
+exactly when an odd number of the others do, so that count is even.
+That holds for the columns of any caller, build_cycle_spectrum with
+cycles of its own included.  Because every power of a symmetric M is
+symmetric, the weight of edge e at a level is the popcount of row e
+masked by the rows still alive there.
+
+The build takes each level step through W in two sparse XOR passes,
+about 3m XORs per level for cuts whatever the density.  It builds the
+step from the same columns only for the first step past the base level,
+after checking that the step maps the identity to M.  A row dies (shows
+an empty cell) the moment its value is zero or repeats an earlier value
+of the same row.  Construction stops when every row is dead or at an
+explicit level cap.
 
 Each live row keeps the set of values it has held, but only through
 level m, the edge count; past it the death check only looks values up.
@@ -50,7 +55,7 @@ weights; its compare cascade stops at the first level that differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain, zip_longest
 from operator import itemgetter, xor
 from typing import Callable, Iterable, Sequence
@@ -165,19 +170,19 @@ def _wrap(g: Graph, rows: Iterable[int]) -> tuple[EdgeSet, ...]:
     return tuple(EdgeSet.from_bits(g.m, r) for r in rows)
 
 
-def _cut_rows(g: Graph) -> tuple[int, ...]:
-    """w0(e) for every edge e = uv as a mask: the XOR of the incidence
-    masks of u and v, the central cuts, which both hold e."""
+def _vertex_cuts(g: Graph) -> list[int]:
+    """The central cut of every vertex as a mask: the columns of the
+    incidence factor, with BᵀB = the base edge cuts."""
     inc = [0] * (g.n + 1)
     for e, (u, v) in enumerate(g.edges):
         inc[u] |= 1 << e
         inc[v] |= 1 << e
-    return tuple(inc[u] ^ inc[v] for u, v in g.edges)
+    return inc[1:]
 
 
 def base_edge_cuts(g: Graph) -> tuple[EdgeSet, ...]:
     """w0(e) for every edge: ring sum of the endpoint central cuts."""
-    return _wrap(g, _cut_rows(g))
+    return _wrap(g, _cut_builder(g, None).base)
 
 
 def gamma_w(g: Graph, s: EdgeSet) -> EdgeSet:
@@ -259,116 +264,6 @@ def _factor_step(
     return folded
 
 
-def _cut_slots(g: Graph) -> list[tuple[int, ...]]:
-    """Columns of the incidence factor B with BᵀB = the base edge cuts:
-    one slot per vertex, holding its incident edges."""
-    return [g.incident_edges(v) for v in g.vertices]
-
-
-def _with_rim(masks: Sequence[int]) -> list[int]:
-    """The columns of Y with Y·Yᵀ = the base edge cycles, as masks: the
-    isometric cycles, plus the rim, their ring sum."""
-    return [*masks, reduce(xor, masks, 0)]
-
-
-def _cycle_slots(masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """The columns of Y as edge ids: one slot per isometric cycle, plus
-    the rim."""
-    return [bit_ids(c) for c in _with_rim(masks)]
-
-
-def _cycle_rows(m: int, masks: Sequence[int]) -> tuple[int, ...]:
-    """tau0(e) for every edge e as a mask, from the isometric cycles'
-    masks: each column of Y, the rim included, is XORed into the row of
-    every edge it holds, over its set bits."""
-    rows = [0] * m
-    for c in _with_rim(masks):
-        bits = c
-        while bits:
-            low = bits & -bits
-            rows[low.bit_length() - 1] ^= c
-            bits ^= low
-    return tuple(rows)
-
-
-# The symmetry check transposes matrices up to this width; it keeps the
-# swap masks of every width up to it, about 1.7 MB in all
-_MAX_PACKED_WIDTH = 1024
-# A step of the per-bit walk costs about as much as 1,000 to 3,000
-# bit-rounds of the transpose (CPython 3.11, x86_64); the check transposes
-# only when that costs at most this many bit-rounds per set bit
-_BIT_ROUNDS_PER_STEP = 1024
-
-
-def _packed_width(m: int) -> int:
-    """The least power of two w >= 8 that holds m bits."""
-    return max(8, 1 << (m - 1).bit_length())
-
-
-@cache
-def _swap_rounds(w: int) -> tuple[tuple[int, int], ...]:
-    """For a w×w bit matrix laid out row i at bits i·w to i·w + w - 1, w a
-    power of two and at least 8: the (shift, mask) of each block-swap round
-    of its transpose.
-
-    The round for block size s swaps bit j of row i with bit j - s of row
-    i + s wherever i has bit s clear and j has it set: the mask holds the
-    first of each pair, and its partner sits s·(w - 1) bits higher."""
-    width = w >> 3
-    rounds = []
-    s = w >> 1
-    while s:
-        # the bits j of a row that have bit s set: s ones in every 2s bits
-        row = ((1 << w) - 1) // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)
-        block = row.to_bytes(width, "little") * s + bytes(width * s)
-        rounds.append((s * (w - 1), int.from_bytes(block * (w // (2 * s)), "little")))
-        s >>= 1
-    return tuple(rounds)
-
-
-def _symmetric_by_transpose(matrix: Sequence[int]) -> bool:
-    """Whether bit j of row i always equals bit i of row j, by one
-    transpose: the rows are laid end to end, w = _packed_width(len(matrix))
-    bits each, and the whole w×w bit matrix is transposed in log2 w masked
-    block swaps (Hacker's Delight, §7-3).  It costs about w²·log2 w bit
-    operations, whatever the number of set bits."""
-    w = _packed_width(len(matrix))
-    packed = int.from_bytes(b"".join(r.to_bytes(w >> 3, "little") for r in matrix), "little")
-    t = packed
-    for shift, mask in _swap_rounds(w):
-        d = (t ^ t >> shift) & mask
-        t ^= d ^ d << shift
-    return t == packed
-
-
-def _symmetric_by_bits(matrix: Sequence[int]) -> bool:
-    """The same test, visiting the set bits one by one: one Python step
-    per set bit."""
-    for i, r in enumerate(matrix):
-        while r:
-            low = r & -r
-            if not matrix[low.bit_length() - 1] >> i & 1:
-                return False
-            r ^= low
-    return True
-
-
-def _symmetric_with_empty_diagonal(matrix: Sequence[int]) -> bool:
-    """Whether, for rows of len(matrix) bits, bit j of row i always equals
-    bit i of row j and no row holds its own bit.  The symmetry test
-    transposes small matrices that are not too sparse, where that is the
-    cheaper path, and walks the set bits of the rest, so on a large
-    sparse matrix it costs one step per set bit, not per bit of the
-    matrix."""
-    if any(r >> i & 1 for i, r in enumerate(matrix)):
-        return False
-    w = _packed_width(len(matrix))
-    set_bits = sum(r.bit_count() for r in matrix)
-    if w <= _MAX_PACKED_WIDTH and w * w * (w.bit_length() - 1) <= _BIT_ROUNDS_PER_STEP * set_bits:
-        return _symmetric_by_transpose(matrix)
-    return _symmetric_by_bits(matrix)
-
-
 class _Builder:
     """The level loop of one spectrum, resumable.
 
@@ -380,23 +275,30 @@ class _Builder:
     every row runs purely periodically (see the module docstring), so it
     never holds more than m + 2 values.  After any call, done tells
     whether the spectrum is complete: every row is dead, or the cap was
-    reached with rows still alive, which sets truncated.  factor() builds
-    the level step, on the first step past the base level.
+    reached with rows still alive, which sets truncated.
+
+    The builder takes edge masks of the factor W and appends their ring
+    sum; the columns attribute holds all of W's columns, and base the rows
+    of M = W·Wᵀ, symmetric with an empty diagonal (see the module
+    docstring).  The level step is built from the same columns, on the
+    first step past the base level.
     """
 
     def __init__(
-        self,
-        kind: str,
-        g: Graph,
-        matrix: tuple[int, ...],
-        factor: Callable[[], Callable[[tuple[int, ...]], tuple[int, ...]]],
-        level_cap: int | None,
+        self, kind: str, g: Graph, columns: Sequence[int], level_cap: int | None
     ) -> None:
         if level_cap is not None and level_cap < 1:
             raise VertexOutOfRange(f"level cap {level_cap} must be at least 1")
-        # every power of a symmetric M is symmetric, which the masked-popcount
-        # weights rely on
-        assert _symmetric_with_empty_diagonal(matrix)
+        self.columns = [*columns, reduce(xor, columns, 0)]
+        # row e is the XOR of the columns that hold e
+        rows = [0] * g.m
+        for c in self.columns:
+            bits = c
+            while bits:
+                low = bits & -bits
+                rows[low.bit_length() - 1] ^= c
+                bits ^= low
+        self.base = matrix = tuple(rows)
         self.kind = kind
         self.graph = g
         self.alive = sum(1 << i for i, r in enumerate(matrix) if r)
@@ -407,7 +309,6 @@ class _Builder:
         self._live = [(e, {0, r}) for e, r in enumerate(matrix, start=1) if r]
         self.truncated = False
         self._cap = level_cap
-        self._factor = factor
         self._step = None
         self._padded = (0, *matrix)
         self._kept: list[tuple[tuple[int, ...], int]] | None = None
@@ -432,7 +333,7 @@ class _Builder:
             if until is not None and len(weights) >= until:
                 break
             if step is None:
-                step = self._factor()
+                step = _factor_step(m, [bit_ids(c) for c in self.columns])
                 # the factor must reproduce the base: M·I = M
                 assert step((0, *(1 << i for i in range(m)))) == padded
             padded = step(padded)
@@ -484,9 +385,7 @@ def _check_nonseparable(g: Graph) -> None:
 
 def _cut_builder(g: Graph, level_cap: int | None) -> _Builder:
     """Cut spectrum builder without the nonseparability gate."""
-    return _Builder(
-        "cut", g, _cut_rows(g), lambda: _factor_step(g.m, _cut_slots(g)), level_cap
-    )
+    return _Builder("cut", g, _vertex_cuts(g), level_cap)
 
 
 def build_cut_spectrum(g: Graph, level_cap: int | None = None) -> Spectrum:
@@ -517,20 +416,14 @@ def base_edge_cycles(
 ) -> tuple[EdgeSet, ...]:
     """tau0(e): ring sum of the isometric cycles through e, plus the rim
     when e lies on the rim.  The result never contains e itself."""
-    return _wrap(g, _cycle_rows(g.m, _masks(g, cycles)))
+    return _wrap(g, _cycle_builder(g, None, _masks(g, cycles)).base)
 
 
 def _cycle_builder(g: Graph, level_cap: int | None, masks: Sequence[int]) -> _Builder:
     """Cycle spectrum builder over the isometric cycles' masks, without the
     nonseparability gate, for callers that checked g when they built its
     cut spectrum."""
-    return _Builder(
-        "cycle",
-        g,
-        _cycle_rows(g.m, masks),
-        lambda: _factor_step(g.m, _cycle_slots(masks)),
-        level_cap,
-    )
+    return _Builder("cycle", g, masks, level_cap)
 
 
 def build_cycle_spectrum(

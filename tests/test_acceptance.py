@@ -371,8 +371,8 @@ def test_criterion_10(capsys):
     """Cut spectrum construction scales gently as cubic graphs double."""
     rng = Random(7)
     timings = []
-    # up to 3,072 edges, where the base symmetry check must follow the set
-    # bits and not the m² bits of the matrix
+    # up to 3,072 edges, where a build that cost per bit of the m×m base,
+    # not per set bit of the factor's columns, would grow far faster
     for n in (32, 64, 128, 256, 512, 1024, 2048):
         g = fx.random_cubic(rng, n)
         assert g.m == 3 * n // 2

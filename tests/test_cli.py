@@ -1,4 +1,4 @@
-"""Command line interface: formats, exit codes, notes and warnings."""
+"""Command line interface: formats, exit codes and notes."""
 
 import contextlib
 import gc
@@ -334,9 +334,15 @@ class TestLineGraph:
         assert r.exit_code == 0
         assert "isometric cycles: 460" in r.stdout.splitlines()
         assert il in r.stdout.splitlines()
+        assert r.stderr == ""
         r = runner.invoke(main, ["invariant", path, "--with-line-invariant"])
         assert r.exit_code == 0
         assert il in r.stdout.splitlines()
+        # the level-cap note is the only line on stderr
+        assert r.stderr.splitlines() == [
+            "note: 220 edges exceed 64, capping the cut spectrum at 2 levels "
+            "(override with --max-levels)"
+        ]
 
 
 class TestTree:

@@ -239,16 +239,6 @@ class TestLevelCap:
             build_cut_spectrum(fx.g_6v11e(), level_cap=0)
 
 
-@pytest.mark.parametrize("e, f", [(1, 7), (4, 4)], ids=["one_sided", "diagonal"])
-def test_build_rejects_a_base_that_is_not_symmetric_with_empty_diagonal(e, f):
-    # the masked-popcount weights read row e as column e
-    g = fx.g_6v11e()
-    base = list(spectra._cut_rows(g))
-    base[e - 1] ^= 1 << (f - 1)
-    with pytest.raises(AssertionError):
-        spectra._Builder("cut", g, tuple(base), lambda: spectra._cut_slots(g), None)
-
-
 @pytest.mark.parametrize(
     "name", ["g_6v11e", "g_8v15e", "prism", "octahedron", "petersen", "g_9v23e"]
 )

@@ -21,6 +21,8 @@ from edgespec import (
     vertex_weights,
 )
 from edgespec import spectra
+from edgespec.graphs import bit_ids
+from edgespec.isometric import _cycle_masks
 from edgespec.spectra import cut_spectrum_unchecked
 
 import fixtures as fx
@@ -157,11 +159,21 @@ def test_fixture_base_tables_are_symmetric_with_empty_diagonal(name):
 # definitions and not the package's tables
 
 
+def cycle_builder(g, cycles=None):
+    masks = [c.bits for c in (isometric_cycles(g) if cycles is None else cycles)]
+    return spectra._cycle_builder(g, None, masks)
+
+
+def slots(builder):
+    """The builder's columns as edge ids, the slots of its level step."""
+    return [bit_ids(c) for c in builder.columns]
+
+
 def assert_base_rows_match_reference(g):
-    assert spectra._cut_rows(g) == tuple(b.bits for b in ref.base_edge_cuts(g))
+    assert spectra._cut_builder(g, None).base == tuple(b.bits for b in ref.base_edge_cuts(g))
     cycles = isometric_cycles(g)
     expected = tuple(b.bits for b in ref.base_edge_cycles(g, cycles))
-    assert spectra._cycle_rows(g.m, [c.bits for c in cycles]) == expected
+    assert cycle_builder(g, cycles).base == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,85 +196,40 @@ def test_base_rows_match_reference_on_fixtures_and_trees(name):
     assert_base_rows_match_reference(FIXTURES_AND_TREES[name]())
 
 
-# The builder checks its base either by transposing the rows packed end to
-# end or by walking their set bits; the check and each of its paths must
-# reach the reference's verdict, around every power of two the packing
-# rounds the width up to
+# The builder's base is W·Wᵀ over its columns with their ring sum
+# appended, symmetric with an empty diagonal for any columns, not only
+# cycles: repeated and empty masks too
 
 
-def random_symmetric(rng, m, density):
-    """Rows of a random symmetric m×m bit matrix with an empty diagonal."""
-    rows = [0] * m
-    for i in range(m):
-        for j in range(i):
-            if rng.random() < density:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.data())
+def test_any_columns_give_a_symmetric_base_with_empty_diagonal(seed, data):
+    g = fx.random_nonseparable(Random(seed))
+    mask = st.one_of(st.just(0), st.integers(min_value=0, max_value=(1 << g.m) - 1))
+    columns = data.draw(st.lists(mask, max_size=12))
+    if columns:
+        columns += data.draw(st.lists(st.sampled_from(columns), max_size=4))
+    base = spectra._Builder("cycle", g, columns, None).base
+    assert ref.is_symmetric_with_empty_diagonal([EdgeSet.from_bits(g.m, r) for r in base])
 
 
-def with_bit_flipped(rows, i, j):
-    out = list(rows)
-    out[i] ^= 1 << j
-    return out
-
-
-def reference_verdict(rows):
-    return ref.is_symmetric_with_empty_diagonal([EdgeSet.from_bits(len(rows), r) for r in rows])
-
-
-def assert_symmetry_check_agrees_with_the_reference(rng, m, density):
-    rows = random_symmetric(rng, m, density)
-    cases = [(rows, True)]
-    if m > 1:
-        # one-sided faults, at random and at both far corners
-        for i, j in (rng.sample(range(m), 2), (0, m - 1), (m - 1, 0)):
-            cases.append((with_bit_flipped(rows, i, j), False))
-    for matrix, symmetric in cases:
-        assert reference_verdict(matrix) is symmetric
-        assert spectra._symmetric_by_transpose(matrix) is symmetric
-        assert spectra._symmetric_by_bits(matrix) is symmetric
-        assert spectra._symmetric_with_empty_diagonal(matrix) is symmetric
-    if m:
-        # a diagonal fault, which only the check itself tests
-        i = rng.randrange(m)
-        matrix = with_bit_flipped(rows, i, i)
-        assert reference_verdict(matrix) is False
-        assert spectra._symmetric_with_empty_diagonal(matrix) is False
-
-
-@pytest.mark.parametrize(
-    "m", [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 180]
-)
-def test_symmetry_check_and_both_its_paths_agree_with_the_reference(m):
-    rng = Random(m)
-    for _ in range(12):
-        assert_symmetry_check_agrees_with_the_reference(rng, m, rng.random())
-
-
-@pytest.mark.parametrize("m", [255, 256, 257, 1023, 1024, 1025])
-def test_symmetry_check_and_both_its_paths_agree_on_large_sparse_matrices(m):
-    # past 1024 rows the check walks the set bits whatever the density
-    rng = Random(m)
-    for density in (0.002, 0.03):
-        assert_symmetry_check_agrees_with_the_reference(rng, m, density)
-
-
-def test_symmetry_check_grows_with_the_set_bits_on_large_sparse_rows():
-    # the cut rows of a cubic graph hold 4 bits each: on 4 times the edges
-    # the walk over the set bits takes about 6 times as long, and a check
-    # that transposed the whole padded matrix took about 30 times
+def test_cycle_base_grows_gently_on_large_cubic_graphs():
+    # the base costs one XOR per set bit of the columns, about 4 times as
+    # long on twice the edges here; a build that visited the set bits of
+    # the m×m base, which the rim makes dense, took about 17 times
     timings = []
-    for n in (512, 2048):
-        rows = spectra._cut_rows(fx.random_cubic(Random(7), n))
-        check = lambda: spectra._symmetric_with_empty_diagonal(rows)
-        timings.append(min(timed(check) for _ in range(5)))
-    assert timings[1] <= 10 * timings[0], timings
+    for n in (342, 684):
+        g = fx.random_cubic(Random(7), n)
+        masks = _cycle_masks(g)
+        build = lambda: spectra._cycle_builder(g, 1, masks)
+        timings.append((g.m, min(timed(build) for _ in range(5))))
+    assert [m for m, _ in timings] == [513, 1026]
+    assert timings[1][1] <= 10 * timings[0][1], timings
 
 
 def timed(fn):
     start = time.perf_counter()
-    assert fn()
+    fn()
     return time.perf_counter() - start
 
 
@@ -327,13 +294,8 @@ def identity_step(g, slots):
 
 
 def assert_factors_give_the_bases(g):
-    assert identity_step(g, spectra._cut_slots(g)) == tuple(
-        b.bits for b in base_edge_cuts(g)
-    )
-    cycles = isometric_cycles(g)
-    assert identity_step(g, spectra._cycle_slots([c.bits for c in cycles])) == tuple(
-        b.bits for b in base_edge_cycles(g, cycles)
-    )
+    for builder in (spectra._cut_builder(g, None), cycle_builder(g)):
+        assert identity_step(g, slots(builder)) == builder.base
 
 
 def star(k):
@@ -367,7 +329,7 @@ def test_factor_step_gives_the_bases_on_padded_and_rimless_graphs(graph):
 
 def test_k4_has_an_empty_rim():
     g = fx.k_n(4)
-    assert spectra._cycle_slots([c.bits for c in isometric_cycles(g)])[-1] == ()
+    assert slots(cycle_builder(g))[-1] == ()
 
 
 # A factor XORs the part of its longest slot past the second longest, the
@@ -382,14 +344,10 @@ def wheel(k):
 
 
 def assert_folded_factors_give_the_bases(g):
-    cycles = isometric_cycles(g)
     identity = (0, *(1 << i for i in range(g.m)))
-    for slots, base in (
-        (spectra._cut_slots(g), base_edge_cuts(g)),
-        (spectra._cycle_slots([c.bits for c in cycles]), base_edge_cycles(g, cycles)),
-    ):
-        step = spectra._factor_step(g.m, slots)
-        assert step(identity) == (0, *(b.bits for b in base))
+    for builder in (spectra._cut_builder(g, None), cycle_builder(g)):
+        step = spectra._factor_step(g.m, slots(builder))
+        assert step(identity) == (0, *builder.base)
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,7 +384,7 @@ def pass_one_groups(monkeypatch, build):
 
 def test_cut_pass_one_folds_the_hub(monkeypatch):
     g = wheel(12)
-    hub, *rest = sorted(spectra._cut_slots(g), key=len, reverse=True)
+    hub, *rest = sorted(slots(spectra._cut_builder(g, None)), key=len, reverse=True)
     assert (len(hub), len(rest[0])) == (12, 3)
     made = pass_one_groups(monkeypatch, lambda: build_cut_spectrum(g, 3))
     assert made == [[hub[:3], *rest, ()]]
@@ -434,10 +392,10 @@ def test_cut_pass_one_folds_the_hub(monkeypatch):
 
 def test_rim_past_the_cycles_is_folded(monkeypatch):
     g = fx.rook_4x4()
-    slots = spectra._cycle_slots([c.bits for c in isometric_cycles(g)])
-    assert max(map(len, slots)) == g.m
+    columns = slots(cycle_builder(g))
+    assert max(map(len, columns)) == g.m
     (groups,) = pass_one_groups(monkeypatch, lambda: build_cycle_spectrum(g, None))
-    assert len(groups) == len(slots) + 1
+    assert len(groups) == len(columns) + 1
     assert len(groups[0]) == len(groups[1]) == 4
 
 
