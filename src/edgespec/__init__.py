@@ -23,7 +23,6 @@ from .errors import (
     EmptyCore,
     GraphError,
     GrfParseError,
-    IdentityMismatch,
     LengthMismatch,
     LimitExceeded,
     LoopFound,
@@ -33,16 +32,6 @@ from .errors import (
     NotNonseparable,
     OddNeighborCount,
     VertexOutOfRange,
-)
-from .gf2 import (
-    Gf2Basis,
-    cycle_cut_intersection_dimension,
-    even_intersection,
-    fundamental_cuts,
-    fundamental_cycles,
-    gf2_rank,
-    is_quasicycle,
-    spanning_tree,
 )
 from .graphs import (
     EdgeSet,
@@ -58,14 +47,10 @@ from .graphs import (
 )
 from .grf import emit_grf, load_graph, parse_edgelist, parse_grf
 from .isometric import (
-    CycleCounts,
-    cycle_count_invariants,
     cycle_order,
     cycle_vertices,
-    cycles_through_edge,
     is_isometric,
     isometric_cycles,
-    wave_labels,
 )
 from .linegraph import (
     LineCycleClassification,
@@ -83,8 +68,6 @@ from .spectra import (
     base_edge_cycles,
     build_cut_spectrum,
     build_cycle_spectrum,
-    gamma,
-    gamma_w,
     invariant_IC,
     invariant_IS,
     rim,

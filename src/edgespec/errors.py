@@ -61,10 +61,6 @@ class CandidateOverflow(LimitExceeded):
     """Cycle candidate enumeration exceeded the configured bound."""
 
 
-class IdentityMismatch(EdgespecError):
-    """A structural counting identity failed; the inputs are inconsistent."""
-
-
 class GrfParseError(EdgespecError):
     """Malformed graph file."""
 

@@ -1,4 +1,4 @@
-"""Isometric cycle enumeration, and the per-edge wave labeling.
+"""Isometric cycle enumeration.
 
 A cycle is isometric when the distance between any two of its vertices
 measured along the cycle equals their distance in the whole graph, and
@@ -17,17 +17,10 @@ masks of neighbours one level nearer the anchor.  Each search reads the
 selector's tests and its probes around vertices already placed in its
 own masks: the vertices at exactly the cycle distance for isometric
 cycles, at k - 1 or more for line cycles of length 2k or 2k + 1.
-The per-edge wave labeling labels the graph by wave depth from one end of
-an edge with the other end blocked; every strictly depth-descending route
-back closes a candidate cycle through the edge, and candidates confirmed
-by the reverse labeling are isometric, but depth ties can hide cycles.
-It is what the published line-cycle tables count: the union of the
-confirmed cycles through every edge of a line graph reproduces them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from operator import or_
@@ -35,87 +28,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CandidateOverflow, NotACycle
 from .graphs import EdgeSet, Graph, all_pairs_distances, distance_spheres
-
-
-def wave_labels(g: Graph, e: int, reverse: bool = False) -> tuple[int, ...]:
-    """Wave labeling for edge e = (s,t): label s = 1, label t = 2, then BFS
-    from t assigns 3, 4, ... and never relabels.  Index 0 is padding;
-    unreached vertices keep 0."""
-    u, v = g.edge_endpoints(e)
-    s, t = (v, u) if reverse else (u, v)
-    labels = [0] * (g.n + 1)
-    labels[s] = 1
-    labels[t] = 2
-    wave = [t]
-    depth = 2
-    while wave:
-        depth += 1
-        nxt = []
-        for w in wave:
-            for y in g.adjacency(w):
-                if labels[y] == 0:
-                    labels[y] = depth
-                    nxt.append(y)
-        wave = nxt
-    return tuple(labels)
-
-
-def _descent_counts(g: Graph, labels: tuple[int, ...], t: int) -> list[int]:
-    # number of strictly descending routes from each vertex down to t
-    order = sorted((lab, w) for w, lab in enumerate(labels) if lab >= 2 and w > 0)
-    cnt = [0] * (g.n + 1)
-    cnt[t] = 1
-    for lab, w in order:
-        if lab <= 2:
-            continue
-        total = 0
-        for y in g.adjacency(w):
-            if labels[y] == lab - 1:
-                total += cnt[y]
-        cnt[w] = total
-    return cnt
-
-
-def _directed_candidates(
-    g: Graph, e: int, reverse: bool, limit: int
-) -> set[int]:
-    u, v = g.edge_endpoints(e)
-    s, t = (v, u) if reverse else (u, v)
-    labels = wave_labels(g, e, reverse)
-    cnt = _descent_counts(g, labels, t)
-    anchors = [x for x in g.adjacency(s) if x != t and labels[x] > 0]
-    total = sum(cnt[x] for x in anchors)
-    if total > limit:
-        raise CandidateOverflow(
-            f"edge {e}: {total} descending routes exceed limit {limit}"
-        )
-    base = 1 << (e - 1)
-    out: set[int] = set()
-    for x in anchors:
-        if cnt[x] == 0:
-            continue
-        start = base | 1 << (g.edge_id(s, x) - 1)
-        stack = [(x, start)]
-        while stack:
-            w, bits = stack.pop()
-            if w == t:
-                out.add(bits)
-                continue
-            lab = labels[w]
-            for y in g.adjacency(w):
-                if labels[y] == lab - 1:
-                    stack.append((y, bits | 1 << (g.edge_id(w, y) - 1)))
-    return out
-
-
-def cycles_through_edge(g: Graph, e: int, limit: int = 10**6) -> tuple[EdgeSet, ...]:
-    """Isometric cycles through edge e confirmed by the pair of labelings
-    anchored at e.  Every confirmed cycle is isometric, but a cycle through
-    e whose vertices tie in wave depth can escape both labelings, so the
-    full enumeration anchors at cycle antipodes instead."""
-    forward = _directed_candidates(g, e, False, limit)
-    backward = _directed_candidates(g, e, True, limit)
-    return in_id_order(g.m, forward & backward)
 
 
 def _edge_bits(g: Graph) -> list[dict[int, int]]:
@@ -515,29 +427,3 @@ def is_isometric(
         if dist[v][seq[(i + k) % length]] != k:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class CycleCounts:
-    """Per-edge counts, per-vertex counts, and the length multiset of a cycle set."""
-
-    edge_counts: tuple[int, ...]
-    vertex_counts: tuple[int, ...]
-    lengths: tuple[int, ...]
-
-
-def cycle_count_invariants(
-    g: Graph, cycles: tuple[EdgeSet, ...] | None = None
-) -> CycleCounts:
-    if cycles is None:
-        cycles = isometric_cycles(g)
-    edge_counts = [0] * g.m
-    vertex_counts = [0] * g.n
-    lengths = []
-    for c in cycles:
-        lengths.append(len(c))
-        for e in c:
-            edge_counts[e - 1] += 1
-        for v in cycle_vertices(g, c):
-            vertex_counts[v - 1] += 1
-    return CycleCounts(tuple(edge_counts), tuple(vertex_counts), tuple(sorted(lengths)))

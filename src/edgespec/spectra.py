@@ -151,21 +151,6 @@ class Spectrum:
         )
 
 
-def _ring_sum_of(bits: int, base: Sequence[int]) -> int:
-    """Ring sum of base[i] over the set bits i of bits."""
-    acc = 0
-    while bits:
-        low = bits & -bits
-        acc ^= base[low.bit_length() - 1]
-        bits ^= low
-    return acc
-
-
-def gamma(s: EdgeSet, base: Sequence[EdgeSet]) -> EdgeSet:
-    """Ring sum of the base summands of all edges in s."""
-    return EdgeSet.from_bits(s.m, _ring_sum_of(s.bits, [b.bits for b in base]))
-
-
 def _wrap(g: Graph, rows: Iterable[int]) -> tuple[EdgeSet, ...]:
     return tuple(EdgeSet.from_bits(g.m, r) for r in rows)
 
@@ -183,11 +168,6 @@ def _vertex_cuts(g: Graph) -> list[int]:
 def base_edge_cuts(g: Graph) -> tuple[EdgeSet, ...]:
     """w0(e) for every edge: ring sum of the endpoint central cuts."""
     return _wrap(g, _cut_builder(g, None).base)
-
-
-def gamma_w(g: Graph, s: EdgeSet) -> EdgeSet:
-    """Gamma transform of s over the base edge cuts of g."""
-    return gamma(s, base_edge_cuts(g))
 
 
 def _xor_pass(groups: Sequence[Sequence[int]], spare: int) -> tuple[itemgetter, ...]:
@@ -396,8 +376,10 @@ def build_cut_spectrum(g: Graph, level_cap: int | None = None) -> Spectrum:
 
 def cut_spectrum_unchecked(g: Graph, level_cap: int | None = None) -> Spectrum:
     """Cut spectrum without the nonseparability gate, for trees, where
-    cuts are defined but cycles are not.  No engine path calls it: the tree
-    invariant weighs its levels through the builder and keeps no rows."""
+    cuts are defined but cycles are not.  No command or engine path calls
+    it: the tree invariant weighs its levels through the builder and keeps
+    no rows.  It stays in the package: perfbench traces it by name, and
+    the tree oracle tests call it."""
     return _cut_builder(g, level_cap).spectrum()
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .errors import LengthMismatch
-from .graphs import EdgeSet, Graph
+from edgespec import EdgeSet, Graph, LengthMismatch
 
 
 class Gf2Basis:

@@ -8,9 +8,19 @@ pair of routes that meet only at their ends, and keeps the joined edge
 sets that pass ``is_isometric``, here the all-pairs check that
 edgespec.is_isometric replaced with one antipodal probe per vertex.  The
 oracle tests require both to return the same cycles in the same order.
+
+The per-edge wave labeling labels the graph by wave depth from one end of
+an edge with the other end blocked; every strictly depth-descending route
+back closes a candidate cycle through the edge, and candidates confirmed
+by the reverse labeling are isometric, but depth ties can hide cycles.
+It is what the published line-cycle tables count: the union of the
+confirmed cycles through every edge of a line graph reproduces them.
 """
 
-from edgespec import CandidateOverflow, EdgeSet, all_pairs_distances, cycle_order
+from __future__ import annotations
+
+from edgespec import CandidateOverflow, EdgeSet, Graph, all_pairs_distances, cycle_order
+from edgespec.isometric import in_id_order
 
 
 def is_isometric(g, cycle, dist):
@@ -108,3 +118,84 @@ def isometric_cycles(g, limit=10**6):
                         verdicts[bits] = is_isometric(g, cand, dist)
     sets = [EdgeSet.from_bits(g.m, bits) for bits, ok in verdicts.items() if ok]
     return tuple(sorted(sets, key=lambda c: c.ids()))
+
+
+def wave_labels(g: Graph, e: int, reverse: bool = False) -> tuple[int, ...]:
+    """Wave labeling for edge e = (s,t): label s = 1, label t = 2, then BFS
+    from t assigns 3, 4, ... and never relabels.  Index 0 is padding;
+    unreached vertices keep 0."""
+    u, v = g.edge_endpoints(e)
+    s, t = (v, u) if reverse else (u, v)
+    labels = [0] * (g.n + 1)
+    labels[s] = 1
+    labels[t] = 2
+    wave = [t]
+    depth = 2
+    while wave:
+        depth += 1
+        nxt = []
+        for w in wave:
+            for y in g.adjacency(w):
+                if labels[y] == 0:
+                    labels[y] = depth
+                    nxt.append(y)
+        wave = nxt
+    return tuple(labels)
+
+
+def _descent_counts(g: Graph, labels: tuple[int, ...], t: int) -> list[int]:
+    # number of strictly descending routes from each vertex down to t
+    order = sorted((lab, w) for w, lab in enumerate(labels) if lab >= 2 and w > 0)
+    cnt = [0] * (g.n + 1)
+    cnt[t] = 1
+    for lab, w in order:
+        if lab <= 2:
+            continue
+        total = 0
+        for y in g.adjacency(w):
+            if labels[y] == lab - 1:
+                total += cnt[y]
+        cnt[w] = total
+    return cnt
+
+
+def _directed_candidates(
+    g: Graph, e: int, reverse: bool, limit: int
+) -> set[int]:
+    u, v = g.edge_endpoints(e)
+    s, t = (v, u) if reverse else (u, v)
+    labels = wave_labels(g, e, reverse)
+    cnt = _descent_counts(g, labels, t)
+    anchors = [x for x in g.adjacency(s) if x != t and labels[x] > 0]
+    total = sum(cnt[x] for x in anchors)
+    if total > limit:
+        raise CandidateOverflow(
+            f"edge {e}: {total} descending routes exceed limit {limit}"
+        )
+    base = 1 << (e - 1)
+    out: set[int] = set()
+    for x in anchors:
+        if cnt[x] == 0:
+            continue
+        start = base | 1 << (g.edge_id(s, x) - 1)
+        stack = [(x, start)]
+        while stack:
+            w, bits = stack.pop()
+            if w == t:
+                out.add(bits)
+                continue
+            lab = labels[w]
+            for y in g.adjacency(w):
+                if labels[y] == lab - 1:
+                    stack.append((y, bits | 1 << (g.edge_id(w, y) - 1)))
+    return out
+
+
+def cycles_through_edge(g: Graph, e: int, limit: int = 10**6) -> tuple[EdgeSet, ...]:
+    """Isometric cycles through edge e confirmed by the pair of labelings
+    anchored at e.  Every confirmed cycle is isometric, but a cycle through
+    e whose vertices tie in wave depth can escape both labelings, so the
+    full enumeration anchors at cycle antipodes instead."""
+    forward = _directed_candidates(g, e, False, limit)
+    backward = _directed_candidates(g, e, True, limit)
+    return in_id_order(g.m, forward & backward)

@@ -20,12 +20,16 @@ from math import comb
 
 from edgespec import (
     EdgeSet,
-    IdentityMismatch,
+    EdgespecError,
     Invariant,
     cycle_vertices,
     isometric_cycles,
     line_graph,
 )
+
+
+class IdentityMismatch(EdgespecError):
+    """A structural counting identity failed; the inputs are inconsistent."""
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,20 @@ replaced with integer rows of M^(l+1) and masked popcounts.  The oracle
 tests require both to agree exactly.  The build also keeps the whole-level
 repeat stop, so the tests confirm that it never fires.  The base tables
 come from their definitions too, without the package's tables: central
-cuts as EdgeSets, and the cycles through each edge by membership.
+cuts as EdgeSets, and the cycles through each edge by membership.  The
+module imports no function from edgespec, only the value types it
+compares.
 """
 
 from functools import reduce
 from operator import xor
 
-from edgespec import EdgeSet, Invariant, SpectrumInvariant, gamma
+from edgespec import EdgeSet, Invariant, SpectrumInvariant
+
+
+def gamma(s, base):
+    """The gamma transform: the ring sum of the base summands of the edges in s."""
+    return EdgeSet.from_bits(s.m, reduce(xor, (base[e - 1].bits for e in s), 0))
 
 
 def base_edge_cuts(g):

@@ -2,10 +2,11 @@
 
 import pytest
 
-from edgespec import (
-    EdgeSet,
+from edgespec import EdgeSet, LengthMismatch
+
+import fixtures as fx
+from gf2_reference import (
     Gf2Basis,
-    LengthMismatch,
     cycle_cut_intersection_dimension,
     even_intersection,
     fundamental_cuts,
@@ -14,8 +15,6 @@ from edgespec import (
     is_quasicycle,
     spanning_tree,
 )
-
-import fixtures as fx
 
 
 class TestGf2Basis:

@@ -11,9 +11,9 @@ from edgespec import (
     isometric_cycles,
     line_graph,
 )
-from edgespec.gf2 import Gf2Basis
 
 import fixtures as fx
+from gf2_reference import Gf2Basis
 import linegraph_reference as ref
 
 

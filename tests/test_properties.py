@@ -21,9 +21,9 @@ from edgespec import (
     relabel,
     rle,
 )
-from edgespec.gf2 import Gf2Basis
 
 import fixtures as fx
+from gf2_reference import Gf2Basis
 
 WIDTH = 16
 

@@ -13,7 +13,6 @@ from edgespec import (
     base_edge_cycles,
     build_cut_spectrum,
     build_cycle_spectrum,
-    gamma,
     graph_from_edges,
     isometric_cycles,
     spectrum_edge_weights,
@@ -114,16 +113,16 @@ def test_cubic_64_capped_matches_reference():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_table_step_agrees_with_public_gamma(seed):
+def test_table_step_agrees_with_reference_gamma(seed):
     rng = Random(seed)
     g = fx.random_nonseparable(rng, 4, 14) if seed % 2 else fx.random_cubic(rng, 16)
     for base, spec in (
-        (base_edge_cuts(g), build_cut_spectrum(g)),
-        (base_edge_cycles(g), build_cycle_spectrum(g, None)),
+        (ref.base_edge_cuts(g), build_cut_spectrum(g)),
+        (ref.base_edge_cycles(g, isometric_cycles(g)), build_cycle_spectrum(g, None)),
     ):
         for prev, nxt in zip(spec.rows, spec.rows[1:]):
             for r, r_next in zip(prev, nxt):
-                assert gamma(EdgeSet.from_bits(g.m, r), base).bits == r_next
+                assert ref.gamma(EdgeSet.from_bits(g.m, r), base).bits == r_next
 
 
 @settings(max_examples=30, deadline=None)
