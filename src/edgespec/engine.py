@@ -7,11 +7,11 @@ invariant.  Equality of all invariants is inconclusive; for small graphs
 an exhaustive search settles the question.
 
 The cut spectra of the two graphs are built in lockstep through the
-resumable builder of spectra.  Both grow by 1, 2, 4, ... levels at a
-time, and each new common level is compared before the next chunk is
-built, so a pair that first differs at level l builds fewer than
-2(l + 1) levels of each instead of both spectra to the end.  Every path
-here reads the weights its builders record and keeps no spectrum rows.
+resumable level loop of spectra.Spectrum.  Both grow by 1, 2, 4, ...
+levels at a time, and each new common level is compared before the next
+chunk is built, so a pair that first differs at level l builds fewer
+than 2(l + 1) levels of each instead of both spectra to the end.  Every
+path here reads the weights its spectra record and keeps no rows.
 """
 
 from __future__ import annotations
@@ -24,15 +24,17 @@ from .errors import LimitExceeded, NotAPermutation, NotATree
 from .graphs import Graph, build_graph
 from .isometric import _cycle_masks
 from .linegraph import digital_invariant_IL, line_cycle_weights
-# neither builder checks nonseparability: each caller here checks the
-# graph before it builds its cut spectrum
+# neither _cut_builder nor Spectrum checks nonseparability: each caller
+# here checks the graph before it builds its cut spectrum
 from .spectra import (
     Invariant,
+    Spectrum,
     SpectrumInvariant,
     _check_nonseparable,
     _cut_builder,
-    _cycle_builder,
     _total_invariant,
+    spectrum_invariant,
+    vertex_weights,
 )
 
 
@@ -47,7 +49,7 @@ def tree_invariant(t: Graph) -> SpectrumInvariant:
     """
     if not is_tree(t):
         raise NotATree(f"graph has {t.m} edges on {t.n} vertices")
-    return _cut_builder(t, None).invariant()
+    return spectrum_invariant(_cut_builder(t, None))
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ def integral_invariant(
     if is_tree(g):
         return IntegralInvariant(tree_invariant(g), None, None)
     _check_nonseparable(g)
-    cut = _cut_builder(g, max_levels).invariant()
-    cyc = _cycle_builder(g, 1, _cycle_masks(g, limit)).invariant()
+    cut = spectrum_invariant(_cut_builder(g, max_levels))
+    cyc = spectrum_invariant(Spectrum("cycle", g, _cycle_masks(g, limit), 1))
     line = digital_invariant_IL(g, limit) if with_line else None
     return IntegralInvariant(cut, cyc, line)
 
@@ -168,8 +170,8 @@ def compare_graphs(
     witness = _cut_witness(g, h, max_levels)
     if witness is not None:
         return _not_iso(witness)
-    gc = _cycle_builder(g, 1, _cycle_masks(g, limit)).invariant()
-    hc = _cycle_builder(h, 1, _cycle_masks(h, limit)).invariant()
+    gc = spectrum_invariant(Spectrum("cycle", g, _cycle_masks(g, limit), 1))
+    hc = spectrum_invariant(Spectrum("cycle", h, _cycle_masks(h, limit), 1))
     if gc != hc:
         return _not_iso("cycle spectrum base invariant")
     if with_line:
@@ -204,8 +206,8 @@ def vertex_orbit_partition(
 ) -> OrbitPartition:
     """Group vertices by their cut, cycle, and optional line weight signatures."""
     _check_nonseparable(g)
-    zeta_cut = _cut_builder(g, max_levels).vertex_weights()
-    zeta_cyc = _cycle_builder(g, 1, _cycle_masks(g, limit)).vertex_weights()
+    zeta_cut = vertex_weights(_cut_builder(g, max_levels))
+    zeta_cyc = vertex_weights(Spectrum("cycle", g, _cycle_masks(g, limit), 1))
     line_part = line_cycle_weights(g, limit)[1] if with_line else None
     signatures = []
     for v in g.vertices:

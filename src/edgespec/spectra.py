@@ -8,7 +8,7 @@ and level l of its spectrum holds the rows of M^(l+1): each row applies
 the gamma transform to its previous value.  For cuts the columns of W
 are the central cuts, W = Bᵀ for the vertex-edge incidence matrix B, so
 M = BᵀB.  For cycles they are the isometric cycles plus the rim, their
-ring sum, so tau0 = Y·Yᵀ.  A _Builder takes the columns as edge masks
+ring sum, so tau0 = Y·Yᵀ.  A Spectrum takes the columns as edge masks
 and appends their ring sum itself: the rim for cycles, and 0 for cuts,
 as every edge lies in two central cuts.  Row e of M is the XOR of the
 columns that hold e, built in one loop over the columns' set bits.  The
@@ -44,12 +44,13 @@ benchmark's cut_deep workload the adds were about a quarter of a level's
 build time, and the sets would otherwise hold one value per level.
 
 The level loop is resumable, and the only place a level is weighed: a
-_Builder records each level's (xi, zeta) through _level_weights as it
-closes the level and keeps only the last level's rows, all the next step
-needs.  Only spectrum() keeps every level's rows, for a Spectrum, which
-carries the recorded weights too; a deep spectrum's rows outweigh its
-weights and per-level invariants together.  The engine reads builder
-weights; its compare cascade stops at the first level that differs.
+Spectrum records each level's (xi, zeta) through _level_weights as it
+closes the level.  Whether it keeps every level's rows is fixed when it
+is made: the public build functions keep them, and the engine's spectra
+keep only the last level's rows, all the next step needs, since a deep
+spectrum's rows outweigh its weights and per-level invariants together.
+The engine reads the recorded weights; its compare cascade stops at the
+first level that differs.
 """
 
 from __future__ import annotations
@@ -103,52 +104,6 @@ class LevelWeights:
 
     per_level: tuple[tuple[int, ...], ...]
     total: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Iterated gamma table over a base of per-edge summands.
-
-    rows[l][e - 1] is row e of M^(l+1); bit e - 1 of alive[l] is set while
-    that row lives, and weights[l] is level l's (xi, zeta).  levels, cell
-    and row show dead rows as None.
-    """
-
-    kind: str
-    graph: Graph
-    rows: tuple[tuple[int, ...], ...]
-    alive: tuple[int, ...]
-    truncated: bool
-    weights: tuple[Weights, ...]
-
-    @property
-    def level_count(self) -> int:
-        return sum(1 for mask in self.alive if mask)
-
-    @property
-    def levels(self) -> tuple[tuple[Cell, ...], ...]:
-        return tuple(
-            tuple(self.cell(l, e) for e in self.graph.edge_ids)
-            for l in range(len(self.rows))
-        )
-
-    def cell(self, level: int, e: int) -> Cell:
-        if not 0 <= level < len(self.rows):
-            raise VertexOutOfRange(f"level {level} outside 0..{len(self.rows) - 1}")
-        if not 1 <= e <= self.graph.m:
-            raise VertexOutOfRange(f"edge id {e} outside 1..{self.graph.m}")
-        if not (self.alive[level] >> (e - 1)) & 1:
-            return None
-        return EdgeSet.from_bits(self.graph.m, self.rows[level][e - 1])
-
-    def row(self, e: int) -> tuple[Cell, ...]:
-        return tuple(self.cell(l, e) for l in range(len(self.rows)))
-
-    def __repr__(self) -> str:
-        return (
-            f"Spectrum(kind={self.kind!r}, levels={len(self.rows)}, "
-            f"level_count={self.level_count}, truncated={self.truncated})"
-        )
 
 
 def _wrap(g: Graph, rows: Iterable[int]) -> tuple[EdgeSet, ...]:
@@ -244,28 +199,40 @@ def _factor_step(
     return folded
 
 
-class _Builder:
-    """The level loop of one spectrum, resumable.
+class Spectrum:
+    """Iterated gamma table over a base of per-edge summands: the level
+    loop of one spectrum, resumable, with each level's weights.
 
-    extend(until) runs the loop until `until` levels exist (every level
-    for None), the level cap is reached or every row is dead, appends each
-    new level's (xi, zeta) to weights, and keeps the last rows, alive mask,
-    live sets and factor step for the next call.  Each live row's set of
-    held values grows through level m and is only read after that, when
-    every row runs purely periodically (see the module docstring), so it
-    never holds more than m + 2 values.  After any call, done tells
-    whether the spectrum is complete: every row is dead, or the cap was
-    reached with rows still alive, which sets truncated.
-
-    The builder takes edge masks of the factor W and appends their ring
+    The spectrum takes edge masks of the factor W and appends their ring
     sum; the columns attribute holds all of W's columns, and base the rows
     of M = W·Wᵀ, symmetric with an empty diagonal (see the module
     docstring).  The level step is built from the same columns, on the
     first step past the base level.
+
+    weights[l] is level l's (xi, zeta), and bit e - 1 of alive[l] is set
+    while row e lives at level l.  A spectrum made with keep_rows keeps
+    every level's rows, rows[l][e - 1] being row e of M^(l+1); levels,
+    cell and row read them and show dead rows as None.  Otherwise rows is
+    None and the spectrum keeps only the last level's rows, all the next
+    step needs.
+
+    extend(until) runs the loop until `until` levels exist (every level
+    for None), the level cap is reached or every row is dead, and keeps
+    the last rows, live sets and factor step for the next call.  Each
+    live row's set of held values grows through level m and is only read
+    after that, when every row runs purely periodically (see the module
+    docstring), so it never holds more than m + 2 values.  After any
+    call, done tells whether the spectrum is complete: every row is dead,
+    or the cap was reached with rows still alive, which sets truncated.
     """
 
     def __init__(
-        self, kind: str, g: Graph, columns: Sequence[int], level_cap: int | None
+        self,
+        kind: str,
+        g: Graph,
+        columns: Sequence[int],
+        level_cap: int | None,
+        keep_rows: bool = False,
     ) -> None:
         if level_cap is not None and level_cap < 1:
             raise VertexOutOfRange(f"level cap {level_cap} must be at least 1")
@@ -281,8 +248,10 @@ class _Builder:
         self.base = matrix = tuple(rows)
         self.kind = kind
         self.graph = g
-        self.alive = sum(1 << i for i, r in enumerate(matrix) if r)
-        self.weights = [_level_weights(g, matrix, self.alive)]
+        self._mask = alive = sum(1 << i for i, r in enumerate(matrix) if r)
+        self.alive = [alive]
+        self.weights = [_level_weights(g, matrix, alive)]
+        self.rows = [matrix] if keep_rows else None
         # a row dies on reaching zero or any value it has held before; live
         # pairs each live row's edge id with zero and the values it has
         # held, through level m
@@ -291,20 +260,18 @@ class _Builder:
         self._cap = level_cap
         self._step = None
         self._padded = (0, *matrix)
-        self._kept: list[tuple[tuple[int, ...], int]] | None = None
 
     @property
     def done(self) -> bool:
-        return self.truncated or not self.alive
+        return self.truncated or not self._mask
 
     @property
     def level_count(self) -> int:
-        # only the base can lack a live row, and a live base row e has xi(e) > 0
-        return len(self.weights) if any(self.weights[0][0]) else 0
+        return sum(1 for mask in self.alive if mask)
 
     def extend(self, until: int | None) -> None:
-        weights, live, kept = self.weights, self._live, self._kept
-        alive, step, padded, cap = self.alive, self._step, self._padded, self._cap
+        weights, masks, kept, live = self.weights, self.alive, self.rows, self._live
+        alive, step, padded, cap = self._mask, self._step, self._padded, self._cap
         m = self.graph.m
         while alive:
             if cap is not None and len(weights) >= cap:
@@ -337,24 +304,35 @@ class _Builder:
                 live = [(e, seen) for e, seen in live if (alive >> (e - 1)) & 1]
             rows = padded[1:]
             weights.append(_level_weights(self.graph, rows, alive))
+            masks.append(alive)
             if kept is not None:
-                kept.append((rows, alive))
-        self.alive, self._step, self._padded, self._live = alive, step, padded, live
+                kept.append(rows)
+        self._mask, self._step, self._padded, self._live = alive, step, padded, live
 
-    def spectrum(self) -> Spectrum:
-        """Run a fresh builder to the end, keeping every level's rows."""
-        self._kept = [(self._padded[1:], self.alive)]
-        self.extend(None)
-        rows, alive = zip(*self._kept)
-        return Spectrum(self.kind, self.graph, rows, alive, self.truncated, tuple(self.weights))
+    @property
+    def levels(self) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(
+            tuple(self.cell(l, e) for e in self.graph.edge_ids)
+            for l in range(len(self.rows))
+        )
 
-    def invariant(self) -> SpectrumInvariant:
-        self.extend(None)
-        return spectrum_invariant(self)
+    def cell(self, level: int, e: int) -> Cell:
+        if not 0 <= level < len(self.rows):
+            raise VertexOutOfRange(f"level {level} outside 0..{len(self.rows) - 1}")
+        if not 1 <= e <= self.graph.m:
+            raise VertexOutOfRange(f"edge id {e} outside 1..{self.graph.m}")
+        if not (self.alive[level] >> (e - 1)) & 1:
+            return None
+        return EdgeSet.from_bits(self.graph.m, self.rows[level][e - 1])
 
-    def vertex_weights(self) -> LevelWeights:
-        self.extend(None)
-        return vertex_weights(self)
+    def row(self, e: int) -> tuple[Cell, ...]:
+        return tuple(self.cell(l, e) for l in range(len(self.rows)))
+
+    def __repr__(self) -> str:
+        return (
+            f"Spectrum(kind={self.kind!r}, levels={len(self.alive)}, "
+            f"level_count={self.level_count}, truncated={self.truncated})"
+        )
 
 
 def _check_nonseparable(g: Graph) -> None:
@@ -363,24 +341,28 @@ def _check_nonseparable(g: Graph) -> None:
         raise NotNonseparable(report.reason)
 
 
-def _cut_builder(g: Graph, level_cap: int | None) -> _Builder:
-    """Cut spectrum builder without the nonseparability gate."""
-    return _Builder("cut", g, _vertex_cuts(g), level_cap)
+def _cut_builder(g: Graph, level_cap: int | None, keep_rows: bool = False) -> Spectrum:
+    """Cut spectrum at its base level, without the nonseparability gate."""
+    return Spectrum("cut", g, _vertex_cuts(g), level_cap, keep_rows)
 
 
 def build_cut_spectrum(g: Graph, level_cap: int | None = None) -> Spectrum:
     """Iterated gamma table over the base edge cuts of a nonseparable graph."""
     _check_nonseparable(g)
-    return _cut_builder(g, level_cap).spectrum()
+    spec = _cut_builder(g, level_cap, keep_rows=True)
+    spec.extend(None)
+    return spec
 
 
 def cut_spectrum_unchecked(g: Graph, level_cap: int | None = None) -> Spectrum:
     """Cut spectrum without the nonseparability gate, for trees, where
     cuts are defined but cycles are not.  No command or engine path calls
-    it: the tree invariant weighs its levels through the builder and keeps
+    it: the tree invariant weighs its levels through a spectrum that keeps
     no rows.  It stays in the package: perfbench traces it by name, and
     the tree oracle tests call it."""
-    return _cut_builder(g, level_cap).spectrum()
+    spec = _cut_builder(g, level_cap, keep_rows=True)
+    spec.extend(None)
+    return spec
 
 
 def _masks(g: Graph, cycles: tuple[EdgeSet, ...] | None) -> Sequence[int]:
@@ -398,14 +380,7 @@ def base_edge_cycles(
 ) -> tuple[EdgeSet, ...]:
     """tau0(e): ring sum of the isometric cycles through e, plus the rim
     when e lies on the rim.  The result never contains e itself."""
-    return _wrap(g, _cycle_builder(g, None, _masks(g, cycles)).base)
-
-
-def _cycle_builder(g: Graph, level_cap: int | None, masks: Sequence[int]) -> _Builder:
-    """Cycle spectrum builder over the isometric cycles' masks, without the
-    nonseparability gate, for callers that checked g when they built its
-    cut spectrum."""
-    return _Builder("cycle", g, masks, level_cap)
+    return _wrap(g, Spectrum("cycle", g, _masks(g, cycles), None).base)
 
 
 def build_cycle_spectrum(
@@ -415,7 +390,9 @@ def build_cycle_spectrum(
 ) -> Spectrum:
     """Iterated gamma table over the base edge cycles of a nonseparable graph."""
     _check_nonseparable(g)
-    return _cycle_builder(g, level_cap, _masks(g, cycles)).spectrum()
+    spec = Spectrum("cycle", g, _masks(g, cycles), level_cap, keep_rows=True)
+    spec.extend(None)
+    return spec
 
 
 def _vertex_sums(g: Graph, xi: Sequence[int]) -> list[int]:
@@ -440,13 +417,15 @@ def _level_table(per_level: Iterable[tuple[int, ...]]) -> LevelWeights:
     return LevelWeights(per_level, tuple(map(sum, zip(*per_level))))
 
 
-def spectrum_edge_weights(spec: Spectrum | _Builder) -> LevelWeights:
+def spectrum_edge_weights(spec: Spectrum) -> LevelWeights:
     """xi_l(e) for every level, as recorded with the spectrum."""
+    spec.extend(None)
     return _level_table(xi for xi, _ in spec.weights)
 
 
-def vertex_weights(spec: Spectrum | _Builder) -> LevelWeights:
+def vertex_weights(spec: Spectrum) -> LevelWeights:
     """zeta_l(v), xi_l summed at v, as recorded."""
+    spec.extend(None)
     return _level_table(zeta for _, zeta in spec.weights)
 
 
@@ -476,8 +455,9 @@ class SpectrumInvariant:
         return str(self.total)
 
 
-def spectrum_invariant(spec: Spectrum | _Builder) -> SpectrumInvariant:
-    """Invariant of a spectrum, or of a builder run to its end."""
+def spectrum_invariant(spec: Spectrum) -> SpectrumInvariant:
+    """Invariant of a spectrum built to its end."""
+    spec.extend(None)
     return SpectrumInvariant(
         spec.kind,
         spec.level_count,

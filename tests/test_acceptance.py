@@ -17,7 +17,6 @@ from edgespec import (
     all_pairs_distances,
     base_edge_cuts,
     base_edge_cycles,
-    brute_force_isomorphism,
     build_cut_spectrum,
     build_cycle_spectrum,
     classify_line_cycles,

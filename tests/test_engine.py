@@ -293,12 +293,12 @@ def test_limit_bounds_the_isometric_enumeration(run):
         run(fx.hypercube(5), limit=100)
 
 
-# The engine reads the weights its builders record as they close each
-# level; only a Spectrum keeps every level's rows, and no engine path
-# makes one.
+# The engine reads the weights its spectra record as they close each
+# level; only the public build functions make a Spectrum that keeps every
+# level's rows, and no engine path does.
 
 
-def test_engine_paths_build_no_spectrum(monkeypatch):
+def test_engine_paths_keep_no_rows(monkeypatch):
     g = fx.g_16v30e_a()
     h = relabel(g, list(range(16, 0, -1)))
     # reversing h's level-1 weights keeps each level's corteges and
@@ -312,11 +312,15 @@ def test_engine_paths_build_no_spectrum(monkeypatch):
             return xi[::-1], zeta[::-1]
         return xi, zeta
 
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("an engine path built a Spectrum")
+    made = []
+    init = edgespec.spectra.Spectrum.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
 
     monkeypatch.setattr(edgespec.spectra, "_level_weights", skewed)
-    monkeypatch.setattr(edgespec.spectra, "Spectrum", no_spectrum)
+    monkeypatch.setattr(edgespec.spectra.Spectrum, "__init__", recording)
     assert str(integral_invariant(fx.prism())) == fx.PRISM_INTEGRAL
     assert str(tree_invariant(fx.spider_tree())) == fx.SPIDER_IT
     level = compare_graphs(fx.rook_4x4(), fx.shrikhande())
@@ -328,6 +332,11 @@ def test_engine_paths_build_no_spectrum(monkeypatch):
     assert compare_graphs(g, h).witness == "cut spectrum total invariant"
     assert compare_graphs(g, relabel(g, list(range(1, 17)))).witness is None
     assert vertex_orbit_partition(fx.petersen()).groups == (tuple(range(1, 11)),)
+    # integral_invariant and the orbits make a cut and a cycle spectrum,
+    # tree_invariant one, and each compare two cut spectra and, when no
+    # cut witness separates the pair, two cycle spectra
+    assert len(made) == 2 + 1 + 2 + 2 + 4 + 2 + 4 + 2
+    assert [spec.rows for spec in made] == [None] * len(made)
 
 
 def test_deep_invariant_keeps_weights_not_rows():

@@ -15,7 +15,7 @@ from edgespec import (
 )
 
 import fixtures as fx
-from test_spectra_cut import cell_ids, check_weight_laws, epsilon_row, row_ids
+from test_spectra_cut import check_weight_laws, epsilon_row, row_ids
 
 
 def tau_ids(g):

@@ -160,11 +160,11 @@ def test_fixture_base_tables_are_symmetric_with_empty_diagonal(name):
 
 def cycle_builder(g, cycles=None):
     masks = [c.bits for c in (isometric_cycles(g) if cycles is None else cycles)]
-    return spectra._cycle_builder(g, None, masks)
+    return spectra.Spectrum("cycle", g, masks, None)
 
 
 def slots(builder):
-    """The builder's columns as edge ids, the slots of its level step."""
+    """The spectrum's columns as edge ids, the slots of its level step."""
     return [bit_ids(c) for c in builder.columns]
 
 
@@ -195,7 +195,7 @@ def test_base_rows_match_reference_on_fixtures_and_trees(name):
     assert_base_rows_match_reference(FIXTURES_AND_TREES[name]())
 
 
-# The builder's base is W·Wᵀ over its columns with their ring sum
+# A spectrum's base is W·Wᵀ over its columns with their ring sum
 # appended, symmetric with an empty diagonal for any columns, not only
 # cycles: repeated and empty masks too
 
@@ -208,7 +208,7 @@ def test_any_columns_give_a_symmetric_base_with_empty_diagonal(seed, data):
     columns = data.draw(st.lists(mask, max_size=12))
     if columns:
         columns += data.draw(st.lists(st.sampled_from(columns), max_size=4))
-    base = spectra._Builder("cycle", g, columns, None).base
+    base = spectra.Spectrum("cycle", g, columns, None).base
     assert ref.is_symmetric_with_empty_diagonal([EdgeSet.from_bits(g.m, r) for r in base])
 
 
@@ -220,7 +220,7 @@ def test_cycle_base_grows_gently_on_large_cubic_graphs():
     for n in (342, 684):
         g = fx.random_cubic(Random(7), n)
         masks = _cycle_masks(g)
-        build = lambda: spectra._cycle_builder(g, 1, masks)
+        build = lambda: spectra.Spectrum("cycle", g, masks, 1)
         timings.append((g.m, min(timed(build) for _ in range(5))))
     assert [m for m, _ in timings] == [513, 1026]
     assert timings[1][1] <= 10 * timings[0][1], timings
