@@ -93,7 +93,9 @@ def _echo(text: str, err: bool = False) -> None:
 
 
 def _emit_machine(payload: dict) -> None:
-    _echo(json.dumps(payload, indent=2, sort_keys=True))
+    # streamed: the JSON text is never held whole
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _print_integral(g: Graph, inv: IntegralInvariant) -> None:

@@ -116,7 +116,7 @@ def ring_sum(a: EdgeSet, b: EdgeSet) -> EdgeSet:
 class Graph:
     """Immutable simple undirected graph with 1-based vertex and edge ids."""
 
-    __slots__ = ("n", "m", "edges", "_adj", "_inc", "_eid", "_dist", "_spheres")
+    __slots__ = ("n", "m", "edges", "_adj", "_inc", "_eid", "_spheres")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]) -> None:
         # edges must arrive validated and normalized (u < v), in id order
@@ -135,8 +135,7 @@ class Graph:
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(self, "_inc", tuple(tuple(sorted(i)) for i in inc))
         object.__setattr__(self, "_eid", eid)
-        # all_pairs_distances fills these on first use
-        object.__setattr__(self, "_dist", None)
+        # distance_spheres fills this on first use
         object.__setattr__(self, "_spheres", None)
 
     def __setattr__(self, name, value):
@@ -304,43 +303,21 @@ def central_cut(g: Graph, v: int) -> EdgeSet:
 
 
 def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """BFS distance table; row and column 0 are -1 padding.
+    """Distance table read off ``distance_spheres``; row and column 0 are
+    -1 padding.
 
-    The table is computed once per graph and kept on it, so every caller
-    of the same graph shares it.  The same BFS fills ``distance_spheres``.
+    The table is built afresh on each call and kept nowhere: the cycle
+    searches read the spheres, and no command or engine path calls this.
     """
-    if g._dist is not None:
-        return g._dist
-    n, adj = g.n, g._adj
-    rows: list[tuple[int, ...]] = [tuple([-1] * (n + 1))]
-    spheres: list[list[int]] = [[]]
-    for s in g.vertices:
-        dist = [-1] * (n + 1)
-        dist[s] = 0
-        wave = [s]
-        at = [1 << s]
-        d = 0
-        while wave:
-            d += 1
-            nxt = []
-            mask = 0
-            for v in wave:
-                for u in adj[v]:
-                    if dist[u] < 0:
-                        dist[u] = d
-                        nxt.append(u)
-                        mask |= 1 << u
-            at.append(mask)
-            wave = nxt
+    rows: list[tuple[int, ...]] = [(-1,) * (g.n + 1)]
+    for at in distance_spheres(g)[1:]:
+        dist = [-1] * (g.n + 1)
+        for d, mask in enumerate(at):
+            # bit v is vertex v, and bit_ids counts bits from 1
+            for v in bit_ids(mask >> 1):
+                dist[v] = d
         rows.append(tuple(dist))
-        spheres.append(at)
-    # every row ends in an empty sphere; pad them all to the longest
-    width = max(map(len, spheres))
-    object.__setattr__(
-        g, "_spheres", tuple(tuple(at + [0] * (width - len(at))) for at in spheres)
-    )
-    object.__setattr__(g, "_dist", tuple(rows))
-    return g._dist
+    return tuple(rows)
 
 
 def distance_spheres(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -348,10 +325,32 @@ def distance_spheres(g: Graph) -> tuple[tuple[int, ...], ...]:
     (bit u for vertex u), for d = 0..diameter + 1, the last always empty;
     row 0 is padding.
 
-    Built by the BFS of ``all_pairs_distances`` and kept on the graph
-    beside its table.  spheres[v][1] is the neighbour mask of v."""
-    if g._spheres is None:
-        all_pairs_distances(g)
+    One BFS per source over neighbour masks, kept on the graph: the next
+    sphere is the union of the neighbour masks of the current one's
+    vertices, less the vertices already seen.  spheres[v][1] is the
+    neighbour mask of v."""
+    if g._spheres is not None:
+        return g._spheres
+    near = [sum(1 << u for u in adj) for adj in g._adj]
+    spheres: list[list[int]] = [[]]
+    for s in g.vertices:
+        wave = seen = 1 << s
+        at = [wave]
+        while wave:
+            reach = 0
+            while wave:
+                low = wave & -wave
+                reach |= near[low.bit_length() - 1]
+                wave ^= low
+            wave = reach & ~seen
+            seen |= wave
+            at.append(wave)
+        spheres.append(at)
+    # every row ends in an empty sphere; pad them all to the longest
+    width = max(map(len, spheres))
+    object.__setattr__(
+        g, "_spheres", tuple(tuple(at + [0] * (width - len(at))) for at in spheres)
+    )
     return g._spheres
 
 

@@ -27,7 +27,7 @@ from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CandidateOverflow, NotACycle
-from .graphs import EdgeSet, Graph, all_pairs_distances, distance_spheres
+from .graphs import EdgeSet, Graph, distance_spheres
 
 
 def _edge_bits(g: Graph) -> list[dict[int, int]]:
@@ -408,22 +408,20 @@ def cycle_vertices(g: Graph, cycle: EdgeSet) -> tuple[int, ...]:
     return tuple(sorted(verts))
 
 
-def is_isometric(
-    g: Graph,
-    cycle: EdgeSet,
-    dist: tuple[tuple[int, ...], ...] | None = None,
-) -> bool:
+def is_isometric(g: Graph, cycle: EdgeSet) -> bool:
     """Check that along-cycle distances equal graph distances for all pairs.
 
     It suffices that every vertex is at distance k = floor(L/2) from the
     vertex k steps on: a shortcut between u and v, v at s <= k steps from
     u, would also bring u within k - 1 of that vertex on v's side."""
     seq = cycle_order(g, cycle)
-    if dist is None:
-        dist = all_pairs_distances(g)
+    spheres = distance_spheres(g)
     length = len(seq)
     k = length // 2
+    # no two vertices are k apart when k is past the last sphere
+    if k >= len(spheres[0]):
+        return False
     for i, v in enumerate(seq):
-        if dist[v][seq[(i + k) % length]] != k:
+        if not spheres[v][k] >> seq[(i + k) % length] & 1:
             return False
     return True

@@ -8,6 +8,7 @@ explicit listing).
 """
 
 from functools import lru_cache
+from itertools import combinations
 from random import Random
 
 from edgespec import Graph, build_graph, graph_from_edges, line_graph
@@ -1103,6 +1104,39 @@ NONSEPARABLE_FIXTURES = {
     "cubic_plus_edge_10v": cubic_plus_edge_10v,
     "wheel6": wheel6,
 }
+
+
+# --- Cai-Fürer-Immerman pairs -------------------------------------------------
+
+
+def cfi(base: Graph, twisted: tuple[int, ...] = ()) -> Graph:
+    """The CFI graph of a connected base graph (Cai, Fürer & Immerman,
+    Combinatorica 12, 1992), with the base edges in ``twisted`` crossed.
+
+    Each base vertex v becomes one middle vertex per even-sized subset S of
+    its edges and two ends (v, e, 0) and (v, e, 1) per edge e at v; the
+    middle vertex of S meets (v, e, 1) for e in S and (v, e, 0) otherwise.
+    Each base edge uv joins (u, e, i) to (v, e, i), or to (v, e, 1 - i)
+    when twisted.  Only the parity of the twists fixes the isomorphism
+    class, and the two classes are told apart by no colour refinement.
+    """
+    ids: dict[tuple, int] = {}
+
+    def vertex(key: tuple) -> int:
+        return ids.setdefault(key, len(ids) + 1)
+
+    edges = []
+    for v in base.vertices:
+        inc = base.incident_edges(v)
+        for size in range(0, len(inc) + 1, 2):
+            for even in combinations(inc, size):
+                for e in inc:
+                    edges.append((vertex(("middle", v, even)), vertex((v, e, e in even))))
+    for e in base.edge_ids:
+        u, v = base.edge_endpoints(e)
+        for i in (False, True):
+            edges.append((vertex((u, e, i)), vertex((v, e, i ^ (e in twisted)))))
+    return graph_from_edges(len(ids), edges)
 
 
 # --- random generators for the property and scaling suites -------------------

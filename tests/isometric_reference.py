@@ -19,8 +19,28 @@ confirmed cycles through every edge of a line graph reproduces them.
 
 from __future__ import annotations
 
-from edgespec import CandidateOverflow, EdgeSet, Graph, all_pairs_distances, cycle_order
+from collections import deque
+
+from edgespec import CandidateOverflow, EdgeSet, Graph, cycle_order
 from edgespec.isometric import in_id_order
+
+
+def distances(g):
+    """Distance table by one plain queue BFS per source, independent of
+    edgespec's sphere masks; row and column 0 are -1 padding."""
+    rows = [(-1,) * (g.n + 1)]
+    for s in g.vertices:
+        dist = [-1] * (g.n + 1)
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in g.adjacency(v):
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        rows.append(tuple(dist))
+    return tuple(rows)
 
 
 def is_isometric(g, cycle, dist):
@@ -67,7 +87,7 @@ def isometric_cycles(g, limit=10**6):
     """All isometric cycles, ordered lexicographically by edge ids.
 
     ``limit`` caps the geodesic pairs tried per anchor and top."""
-    dist = all_pairs_distances(g)
+    dist = distances(g)
     verdicts = {}
     for w in g.vertices:
         dw = dist[w]

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 
 import edgespec
 from edgespec import emit_grf, relabel
-from edgespec.cli import main
+from edgespec.cli import _emit_machine, main
 
 import fixtures as fx
 
@@ -464,6 +465,51 @@ class TestContract:
         assert isinstance(json.loads(r.stdout), dict)
 
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("invariant", ["--with-line-invariant"]),
+            ("compare", ["--with-line-invariant"]),
+            ("orbits", ["--with-line-invariant"]),
+            ("linegraph", []),
+            ("cycles", []),
+        ],
+        ids=["invariant", "compare", "orbits", "linegraph", "cycles"],
+    )
+    def test_no_command_reads_the_distance_table(self, runner, tmp_path, monkeypatch, command, flags):
+        # the cycle searches read the sphere masks; the table is only a view
+        def refuse(g):
+            raise AssertionError("all_pairs_distances called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "edgespec" and hasattr(module, "all_pairs_distances"):
+                monkeypatch.setattr(module, "all_pairs_distances", refuse)
+        path = grf_file(tmp_path, "petersen.grf", fx.petersen())
+        r = runner.invoke(main, [*argv(command, path), *flags])
+        assert r.exception is None
+        assert r.exit_code == 0
+
+    def test_machine_output_is_streamed(self):
+        # the JSON text reaches stdout in chunks and is never held whole
+        class Sink:
+            length = 0
+
+            def write(self, s):
+                self.length += len(s)
+
+        payload = {"rows": [[v, v + 1, v * v] for v in range(40_000)]}
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                _emit_machine(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.length > 1_000_000
+        assert peak < sink.length // 20
+
+
 SEVEN = ("invariant", "compare", "cycles", "spectrum", "orbits", "linegraph", "tree")
 
 
@@ -533,6 +579,17 @@ class TestConsole:
         path = grf_file(tmp_path, "grid.grf", fx.grid(10, 10))
         with child("-m", "edgespec.cli", "spectrum", path, "--max-levels", "40") as proc:
             assert proc.stdout.readline() == b"cut spectrum: 16 levels\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
+        assert err == b""
+
+    def test_closed_pipe_exits_2_quietly_in_machine_mode(self, tmp_path):
+        # the JSON is streamed in many writes, so the pipe closes mid-object
+        path = grf_file(tmp_path, "grid.grf", fx.grid(10, 10))
+        args = ("spectrum", path, "--max-levels", "40", "--format", "machine")
+        with child("-m", "edgespec.cli", *args) as proc:
+            assert proc.stdout.read(1) == b"{"
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 2

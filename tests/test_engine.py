@@ -252,30 +252,24 @@ def test_nonseparability_is_checked_once_per_graph(monkeypatch, run, graphs):
     assert len(checked) == graphs
 
 
-def test_line_invariant_computes_the_distance_table_once(monkeypatch):
-    # all_pairs_distances runs its BFS while a graph has no table yet;
-    # distance_spheres reaches it by its name in graphs
-    real = edgespec.graphs.all_pairs_distances
-    runs = []
+def test_line_invariant_builds_the_spheres_once(monkeypatch):
+    # distance_spheres runs its BFS while a graph has no spheres yet; both
+    # searches reach it by its name in isometric
+    real = edgespec.graphs.distance_spheres
+    runs, spheres = [], []
 
     def counted(g):
-        if g._dist is None:
+        if g._spheres is None:
             runs.append(g)
-        return real(g)
+        spheres.append(real(g))
+        return spheres[-1]
 
-    for module in (edgespec.graphs, edgespec.isometric):
-        monkeypatch.setattr(module, "all_pairs_distances", counted)
-    spheres = []
-    monkeypatch.setattr(
-        edgespec.isometric,
-        "distance_spheres",
-        lambda g: spheres.append(edgespec.graphs.distance_spheres(g)) or spheres[-1],
-    )
-    # relabelled by the identity: a new Graph with no distance table yet
+    monkeypatch.setattr(edgespec.isometric, "distance_spheres", counted)
+    # relabelled by the identity: a new Graph with no spheres yet
     g = relabel(fx.petersen(), list(range(1, 11)))
     integral_invariant(g, with_line=True)
     assert runs == [g]
-    # both searches read the masks of that one BFS
+    # the isometric and the line-cycle search read the masks of that one BFS
     assert len(spheres) == 2 and spheres[0] is spheres[1] is g._spheres
 
 

@@ -1,6 +1,9 @@
 """The CLI reproduces the pinned output corpus of golden_corpus."""
 
+import contextlib
+import io
 import json
+import sys
 
 import golden_corpus as corpus
 from edgespec import cli
@@ -16,6 +19,13 @@ def test_a_one_character_change_fails_the_corpus(tmp_path, monkeypatch):
     runs = dict(corpus.write_inputs(where))
     case = "invariant petersen.edges --format machine"
     before = corpus.run(runs[case], where)
-    echo = cli._echo
-    monkeypatch.setattr(cli, "_echo", lambda text, err=False: echo(text.replace("1", "l", 1), err))
+    emit = cli._emit_machine
+
+    def altered(payload):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            emit(payload)
+        sys.stdout.write(text.getvalue().replace("1", "l", 1))
+
+    monkeypatch.setattr(cli, "_emit_machine", altered)
     assert corpus.run(runs[case], where) != before

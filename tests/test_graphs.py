@@ -1,6 +1,10 @@
 """Graph construction, edge sets, and structural checks."""
 
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgespec import (
     AsymmetricAdjacency,
@@ -22,6 +26,7 @@ from edgespec import (
 from edgespec.graphs import distance_spheres
 
 import fixtures as fx
+import isometric_reference as ref
 
 
 class TestEdgeSet:
@@ -181,23 +186,21 @@ def test_all_pairs_distances():
     assert all(row[0] == -1 for row in d)
 
 
-def test_all_pairs_distances_are_computed_once_per_graph():
+def test_equal_graphs_give_equal_distance_tables():
     rows = [[2, 4], [1, 3], [2, 4], [1, 3]]
     g = build_graph(4, rows)
-    d = all_pairs_distances(g)
-    assert all_pairs_distances(g) is d
     h = build_graph(4, rows)
     assert h == g
-    assert all_pairs_distances(h) == d
+    assert all_pairs_distances(h) == all_pairs_distances(g)
 
 
-@pytest.mark.parametrize(
-    "make", [fx.k2, fx.wheel6, fx.petersen, lambda: fx.grid(3, 7), fx.spider_tree]
-)
-def test_distance_spheres_match_the_table(make):
-    g = make()
+def one_vertex():
+    return build_graph(1, [[]])
+
+
+def assert_spheres_match_plain_bfs(g):
     spheres = distance_spheres(g)
-    d = all_pairs_distances(g)
+    d = ref.distances(g)
     diameter = max(map(max, d))
     assert len(spheres) == g.n + 1
     assert all(len(row) == diameter + 2 for row in spheres)
@@ -207,6 +210,21 @@ def test_distance_spheres_match_the_table(make):
             assert mask == sum(1 << u for u in g.vertices if d[v][u] == k)
         assert spheres[v][1] == sum(1 << u for u in g.adjacency(v))
     assert distance_spheres(g) is spheres
+    assert all_pairs_distances(g) == d
+
+
+@pytest.mark.parametrize(
+    "make",
+    [fx.k2, fx.wheel6, fx.petersen, lambda: fx.grid(3, 7), fx.spider_tree, one_vertex],
+)
+def test_distance_spheres_match_the_table(make):
+    assert_spheres_match_plain_bfs(make())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_distance_spheres_match_a_plain_bfs_on_random_graphs(seed):
+    assert_spheres_match_plain_bfs(fx.random_nonseparable(Random(seed)))
 
 
 class TestNonseparable:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from edgespec import (
     CandidateOverflow,
     NotACycle,
-    all_pairs_distances,
     build_graph,
     cycle_order,
     cycle_vertices,
@@ -172,9 +171,8 @@ def test_cycle_vertices():
 class TestIsIsometric:
     def test_petersen_five_cycles(self):
         g = fx.petersen()
-        dist = all_pairs_distances(g)
         for ids in fx.PETERSEN_CYCLES:
-            assert is_isometric(g, g.edge_set(ids), dist)
+            assert is_isometric(g, g.edge_set(ids))
 
     def test_petersen_six_cycle_fails(self):
         g = fx.petersen()
@@ -182,6 +180,19 @@ class TestIsIsometric:
             [g.edge_id(*p) for p in ((1, 2), (2, 7), (7, 10), (10, 8), (8, 6), (6, 1))]
         )
         assert not is_isometric(g, six)
+
+    @pytest.mark.parametrize("length", [8, 9])
+    def test_petersen_cycles_longer_than_twice_the_diameter_fail(self, length):
+        # half of the length, 4, is past the last sphere of a graph of
+        # diameter 2
+        g = fx.petersen()
+        found = 0
+        for seq in nx.simple_cycles(fx.to_nx(g), length_bound=length):
+            if len(seq) == length:
+                cycle = g.edge_set(g.edge_id(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
+                assert not is_isometric(g, cycle)
+                found += 1
+        assert found > 0
 
     def test_whole_hexagon(self):
         g = build_graph(6, {1: [2, 6], 2: [1, 3], 3: [2, 4], 4: [3, 5], 5: [4, 6], 6: [1, 5]})
@@ -261,10 +272,10 @@ def test_line_search_limit_is_the_route_pairs_tried(make, pairs):
 def test_antipodal_check_agrees_with_all_pairs(seed):
     # every simple cycle of up to 8 edges, isometric or not
     g = fx.random_nonseparable(Random(seed))
-    dist = all_pairs_distances(g)
+    dist = ref.distances(g)
     for seq in nx.simple_cycles(fx.to_nx(g), length_bound=8):
         cycle = g.edge_set(g.edge_id(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
-        assert is_isometric(g, cycle, dist) == ref.is_isometric(g, cycle, dist)
+        assert is_isometric(g, cycle) == ref.is_isometric(g, cycle, dist)
 
 
 def test_worked_example_counts():

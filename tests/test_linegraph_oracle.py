@@ -110,7 +110,7 @@ def test_line_distances_and_cycle_rule(seed):
             for i in range(length)
             for s in (k - 1, k)
         )
-        assert rule == is_isometric(lg, line_cycle, line_dist)
+        assert rule == is_isometric(lg, line_cycle)
 
 
 def test_line_invariant_builds_no_line_graph(monkeypatch, tmp_path, capsys):

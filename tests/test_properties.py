@@ -150,11 +150,10 @@ def test_verdicts_agree_with_networkx(seed_a, seed_b):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_enumerated_cycles_are_isometric_simple_cycles(seed):
     g = fx.random_nonseparable(Random(seed))
-    dist = all_pairs_distances(g)
     for cycle in isometric_cycles(g):
         seq = cycle_order(g, cycle)
         assert len(seq) == len(cycle)
-        assert is_isometric(g, cycle, dist)
+        assert is_isometric(g, cycle)
 
 
 @settings(max_examples=20, deadline=None)
