@@ -11,6 +11,7 @@ by integer bit masks, so ring sums are single XOR operations.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter, or_, xor
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -325,32 +326,51 @@ def distance_spheres(g: Graph) -> tuple[tuple[int, ...], ...]:
     (bit u for vertex u), for d = 0..diameter + 1, the last always empty;
     row 0 is padding.
 
-    One BFS per source over neighbour masks, kept on the graph: the next
-    sphere is the union of the neighbour masks of the current one's
-    vertices, less the vertices already seen.  spheres[v][1] is the
-    neighbour mask of v."""
+    Built for every source in one pass and kept on the graph.  A vertex's
+    ball of radius d + 1 is its ball of radius d ORed with the balls of
+    radius d of its neighbours, so a level is one OR per neighbour-list
+    entry, done by gathers: column j picks each vertex's j-th neighbour.
+    Levels repeat until every ball holds every vertex, and sphere d is
+    ball d XOR ball d - 1.  The balls sit in degree order, highest first,
+    so column j covers a prefix of them.  A column that every vertex
+    fills is ORed by a plain map; a shorter one is written over just its
+    prefix, so a hub's neighbours cost one entry each, not one padded
+    column each.  spheres[v][1] is the neighbour mask of v."""
     if g._spheres is not None:
         return g._spheres
-    near = [sum(1 << u for u in adj) for adj in g._adj]
-    spheres: list[list[int]] = [[]]
-    for s in g.vertices:
-        wave = seen = 1 << s
-        at = [wave]
-        while wave:
-            reach = 0
-            while wave:
-                low = wave & -wave
-                reach |= near[low.bit_length() - 1]
-                wave ^= low
-            wave = reach & ~seen
-            seen |= wave
-            at.append(wave)
-        spheres.append(at)
-    # every row ends in an empty sphere; pad them all to the longest
-    width = max(map(len, spheres))
-    object.__setattr__(
-        g, "_spheres", tuple(tuple(at + [0] * (width - len(at))) for at in spheres)
-    )
+    # ball p belongs to order[p - 1]; ball 0 stays empty, and every column
+    # starts with it, so a column's gather lines up with the balls from 0
+    # on and holds two entries at least, which makes it return a tuple
+    order = sorted(g.vertices, key=[*map(len, g._adj)].__getitem__, reverse=True)
+    at = [0] * (g.n + 1)
+    for p, v in enumerate(order, start=1):
+        at[v] = p
+    columns = [[0] for _ in g._adj[order[0]]]
+    for v in order:
+        for col, u in zip(columns, g._adj[v]):
+            col.append(at[u])
+    full = [itemgetter(*col) for col in columns if len(col) > g.n]
+    short = [(itemgetter(*col), len(col)) for col in columns if len(col) <= g.n]
+    ball = [0, *(1 << v for v in order)]
+    spheres = [ball]
+    # the pass ends when every ball holds every vertex, or, on a graph made
+    # disconnected by calling Graph directly, when no ball grows
+    whole = (1 << g.n + 1) - 2
+    while ball.count(whole) < g.n:
+        grown = ball
+        for col in full:
+            grown = map(or_, col(ball), grown)
+        grown = list(grown)
+        for col, end in short:
+            # the map is drawn in full before the slice is written
+            grown[:end] = map(or_, col(ball), grown)
+        if grown == ball:
+            break
+        spheres.append([*map(xor, grown, ball)])
+        ball = grown
+    spheres.append([0] * (g.n + 1))
+    # one row of spheres per ball, read back in vertex order
+    object.__setattr__(g, "_spheres", itemgetter(*at)(tuple(zip(*spheres))))
     return g._spheres
 
 

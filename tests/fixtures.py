@@ -870,6 +870,35 @@ def caterpillar_tree() -> Graph:
     return graph_from_edges(7, ((1, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7)))
 
 
+@cached
+def star(leaves: int) -> Graph:
+    """K1,leaves with hub 1."""
+    return graph_from_edges(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
+
+
+@cached
+def path(n: int) -> Graph:
+    return graph_from_edges(n, [(v, v + 1) for v in range(1, n)])
+
+
+def tree_from_pruefer(seq) -> Graph:
+    """The labelled tree on len(seq) + 2 vertices with Prüfer sequence seq:
+    each entry joins the least remaining leaf to it, and the last two
+    vertices left are joined."""
+    n = len(seq) + 2
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = next(u for u in range(1, n + 1) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(1, n + 1) if degree[u] == 1))
+    return graph_from_edges(n, edges)
+
+
 SPIDER_IT = "(4×10, 2×12) & (4×10, 24, 2×32)"
 CATERPILLAR_IT = "(2×16, 2×18, 2×20) & (16, 2×18, 20, 32, 2×56)"
 
@@ -964,6 +993,14 @@ def wheel6() -> Graph:
 
 
 WHEEL6_DIST_V1 = (0, 1, 2, 2, 2, 1, 1)
+
+
+@cached
+def wheel(n: int) -> Graph:
+    """The wheel on n vertices: hub 1 joined to every vertex of the rim
+    cycle 2..n."""
+    rim = [(v, v + 1) for v in range(2, n)] + [(2, n)]
+    return graph_from_edges(n, [(1, v) for v in range(2, n + 1)] + rim)
 
 
 # --- grids and hypercubes ------------------------------------------------------

@@ -253,7 +253,7 @@ def test_nonseparability_is_checked_once_per_graph(monkeypatch, run, graphs):
 
 
 def test_line_invariant_builds_the_spheres_once(monkeypatch):
-    # distance_spheres runs its BFS while a graph has no spheres yet; both
+    # distance_spheres builds the spheres while a graph has none yet; both
     # searches reach it by its name in isometric
     real = edgespec.graphs.distance_spheres
     runs, spheres = [], []
@@ -269,7 +269,7 @@ def test_line_invariant_builds_the_spheres_once(monkeypatch):
     g = relabel(fx.petersen(), list(range(1, 11)))
     integral_invariant(g, with_line=True)
     assert runs == [g]
-    # the isometric and the line-cycle search read the masks of that one BFS
+    # the isometric and the line-cycle search read the masks of that one pass
     assert len(spheres) == 2 and spheres[0] is spheres[1] is g._spheres
 
 

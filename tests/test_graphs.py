@@ -12,6 +12,7 @@ from edgespec import (
     DuplicateNeighbor,
     EdgeSet,
     EmptyCore,
+    Graph,
     LengthMismatch,
     LoopFound,
     VertexOutOfRange,
@@ -215,7 +216,26 @@ def assert_spheres_match_plain_bfs(g):
 
 @pytest.mark.parametrize(
     "make",
-    [fx.k2, fx.wheel6, fx.petersen, lambda: fx.grid(3, 7), fx.spider_tree, one_vertex],
+    [
+        fx.k2,
+        fx.wheel6,
+        fx.petersen,
+        lambda: fx.grid(3, 7),
+        fx.spider_tree,
+        one_vertex,
+        # one hub: the neighbour columns past the other vertices' degree
+        # hold only the hub
+        pytest.param(lambda: fx.star(40), id="star_1_40"),
+        pytest.param(lambda: fx.wheel(60), id="wheel_60"),
+        # 39 levels
+        pytest.param(lambda: fx.path(40), id="path_40"),
+        pytest.param(lambda: fx.grid(10, 10), id="grid_10_10"),
+        pytest.param(lambda: fx.hypercube(5), id="hypercube_5"),
+        pytest.param(lambda: fx.k_n(7), id="k_7"),
+        pytest.param(lambda: fx.random_cubic(Random(64002), 64), id="cubic_64"),
+        # only a direct Graph call makes one; no ball ever holds every vertex
+        pytest.param(lambda: Graph(4, [(1, 2), (3, 4)]), id="two_components"),
+    ],
 )
 def test_distance_spheres_match_the_table(make):
     assert_spheres_match_plain_bfs(make())
@@ -225,6 +245,17 @@ def test_distance_spheres_match_the_table(make):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_distance_spheres_match_a_plain_bfs_on_random_graphs(seed):
     assert_spheres_match_plain_bfs(fx.random_nonseparable(Random(seed)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40).flatmap(
+        lambda n: st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2)
+    )
+)
+def test_distance_spheres_match_a_plain_bfs_on_random_trees(seq):
+    # trees from Prüfer sequences: skewed degrees, many short columns
+    assert_spheres_match_plain_bfs(fx.tree_from_pruefer(seq))
 
 
 class TestNonseparable:
