@@ -25,12 +25,14 @@ symmetric, the weight of edge e at a level is the popcount of row e
 masked by the rows still alive there.
 
 The build takes each level step through W in two sparse XOR passes,
-about 3m XORs per level for cuts whatever the density.  It builds the
-step from the same columns only for the first step past the base level,
-after checking that the step maps the identity to M.  A row dies (shows
-an empty cell) the moment its value is zero or repeats an earlier value
-of the same row.  Construction stops when every row is dead or at an
-explicit level cap.
+about 3m XORs per level for cuts whatever the density.  A pass XORs in
+column c, entry c of each group, by a lazy map, or over just its prefix
+of the result where the column is short; the longest group's tail is
+one gather.  It builds the step from the same columns only for the first
+step past the base level, after checking that the step maps the
+identity to M.  A row dies (shows an empty cell) the moment its value
+is zero or repeats an earlier value of the same row.  Construction
+stops when every row is dead or at an explicit level cap.
 
 Each live row keeps the set of values it has held, but only through
 level m, the edge count; past it the death check only looks values up.
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from operator import itemgetter, xor
 from typing import Callable, Iterable, Sequence
 
@@ -125,40 +127,54 @@ def base_edge_cuts(g: Graph) -> tuple[EdgeSet, ...]:
     return _wrap(g, _cut_builder(g, None).base)
 
 
-def _xor_pass(groups: Sequence[Sequence[int]], spare: int) -> tuple[itemgetter, ...]:
-    """Gathers for one sparse XOR pass, which maps a sequence to the XOR
-    of the entries each of two or more groups indexes; spare indexes a
-    zero entry.
+def _xor_pass(groups: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[int]]:
+    """One sparse XOR pass: a function of a sequence whose entry 0 is
+    zero, returning entry i = the XOR of the entries groups[i] indexes.
+    groups[0] is empty, so entry 0 of the result is zero too, and there
+    are two groups or more.
 
-    Column c picks entry c of each group, or spare where a group is
-    shorter.  The first two columns span every group; a later one ends
-    after the last group longer than c, so groups sorted longest first
-    need no padding there, but keeps two entries, so that every
-    itemgetter returns a tuple.
+    Column c picks entry c of each group, or entry 0 where a group is
+    shorter.  A column that spans every group, and column 0, is XORed in
+    by a lazy map; a shorter one is written over just its prefix.  The
+    longest group's entries past the second longest, the cycle factor's
+    rim or a hub's edges, are XORed by one gather and reduce.
     """
-    lengths = [len(grp) for grp in groups]
-    ends = [len(groups)] * 2 + [2] * (max(2, *lengths) - 2)
-    for i, n in enumerate(lengths):
-        for c in range(2, n):
-            ends[c] = max(2, i + 1)
-    # the extra pair makes two columns at least; no end reaches it
-    columns = zip_longest(*groups, (spare, spare), fillvalue=spare)
-    return tuple(itemgetter(*col[:end]) for col, end in zip(columns, ends))
+    n = len(groups)
+    lengths = [*map(len, groups)]
+    *_, second, longest = sorted(lengths)
+    top, cols = lengths.index(longest), max(1, second)
+    # one backward walk: column c ends after the last group longer than c
+    ends = [n]
+    for i in range(n - 1, 0, -1):
+        if lengths[i] > len(ends):
+            ends += [i + 1] * (min(lengths[i], cols) - len(ends))
+            if len(ends) == cols:
+                break
+    columns = zip_longest((0,), *groups[1:], fillvalue=0)
+    gathers = [itemgetter(*col[:end]) for col, end in zip(columns, ends)]
+    k = ends.count(n)
+    start, *full = gathers[:k]
+    short = [*zip(gathers[k:], ends[k:])]
+    tail = groups[top][cols:]
+    # the extra 0 makes the gather return a tuple
+    fold = [(top, itemgetter(0, *tail))] if tail else []
+
+    def xor_pass(seq: Sequence[int]) -> list[int]:
+        out = start(seq)
+        for col in full:
+            out = map(xor, col(seq), out)
+        out = list(out)
+        for col, end in short:
+            # the map is drawn in full before the slice is written
+            out[:end] = map(xor, col(seq), out)
+        for i, gather in fold:
+            out[i] ^= reduce(xor, gather(seq))
+        return out
+
+    return xor_pass
 
 
-def _xor_columns(columns: Sequence[itemgetter], seq: Sequence[int]) -> tuple[int, ...]:
-    """Apply the gathers of _xor_pass to seq."""
-    acc = map(xor, columns[0](seq), columns[1](seq))
-    for col in columns[2:]:
-        # the map stops when the shorter column runs out, before it draws
-        # from acc, and chain goes on with the rest of acc
-        acc = chain(map(xor, col(seq), acc), acc)
-    return tuple(acc)
-
-
-def _factor_step(
-    m: int, slots: Sequence[Sequence[int]]
-) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def _factor_step(m: int, slots: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[int]]:
     """Level step R -> M·R for a base M = W·Wᵀ over GF(2), where each slot
     lists the edge ids in one column of the sparse factor W.
 
@@ -166,37 +182,21 @@ def _factor_step(
     entry e is row e.  Pass one XORs the rows over each slot into sums;
     pass two XORs, for each edge, the sums of the slots that hold it.
     That is about two XORs per entry of W, 3m for the cut factor.
-
-    A longest slot at least 2 longer than the second longest has its tail
-    past that XORed by one gather and reduce, not by one two-entry column
-    of pass one per entry: the cycle factor's rim, or a hub's edges, can
-    be m long where the other slots hold a few edges.
     """
     # longest first, so pass one's later columns cover a prefix of the
-    # slots; the empty group at the end gives sums its zero
-    slots = sorted(slots, key=len, reverse=True)
+    # slots, and sums[0] is the zero entry; an empty slot adds nothing,
+    # but one stays if all are, as a pass has two groups or more
+    slots = sorted(filter(None, slots), key=len, reverse=True) or [()]
     holders: list[list[int]] = [[] for _ in range(m + 1)]
-    for s, slot in enumerate(slots):
+    for s, slot in enumerate(slots, start=1):
         for e in slot:
             holders[e].append(s)
-    second = _xor_pass(holders, len(slots))
-    split = len(slots[1]) if len(slots) > 1 else 0
-    if len(slots[0]) - split < 2:
-        first = _xor_pass([*slots, ()], 0)
+    first, second = _xor_pass([(), *slots]), _xor_pass(holders)
 
-        def step(padded: tuple[int, ...]) -> tuple[int, ...]:
-            return _xor_columns(second, _xor_columns(first, padded))
+    def step(padded: Sequence[int]) -> list[int]:
+        return second(first(padded))
 
-        return step
-
-    first = _xor_pass([slots[0][:split], *slots[1:], ()], 0)
-    tail = itemgetter(*slots[0][split:])
-
-    def folded(padded: tuple[int, ...]) -> tuple[int, ...]:
-        sums = _xor_columns(first, padded)
-        return _xor_columns(second, (sums[0] ^ reduce(xor, tail(padded)), *sums[1:]))
-
-    return folded
+    return step
 
 
 class Spectrum:
@@ -259,7 +259,7 @@ class Spectrum:
         self.truncated = False
         self._cap = level_cap
         self._step = None
-        self._padded = (0, *matrix)
+        self._padded = [0, *matrix]
 
     @property
     def done(self) -> bool:
@@ -302,7 +302,7 @@ class Spectrum:
                 if not alive:
                     break
                 live = [(e, seen) for e, seen in live if (alive >> (e - 1)) & 1]
-            rows = padded[1:]
+            rows = tuple(padded[1:])
             weights.append(_level_weights(self.graph, rows, alive))
             masks.append(alive)
             if kept is not None:

@@ -1003,6 +1003,20 @@ def wheel(n: int) -> Graph:
     return graph_from_edges(n, [(1, v) for v in range(2, n + 1)] + rim)
 
 
+@cached
+def k2n(n: int) -> Graph:
+    """K2,n: twin hubs 1 and 2, each joined to every vertex of 3..n + 2."""
+    return graph_from_edges(n + 2, [(h, v) for h in (1, 2) for v in range(3, n + 3)])
+
+
+@cached
+def bipyramid(k: int) -> Graph:
+    """The bipyramid over C_k: K2,k with the cycle 3..k + 2 added, so its
+    twin hubs have degree k and every other vertex degree 4."""
+    rim = [(v, v + 1) for v in range(3, k + 2)] + [(3, k + 2)]
+    return graph_from_edges(k + 2, sorted(k2n(k).edges + tuple(rim)))
+
+
 # --- grids and hypercubes ------------------------------------------------------
 # grid cell (i, j) is vertex i*cols + j + 1; the isometric cycles of a grid are
 # exactly its unit squares

@@ -1,10 +1,11 @@
 """Pinned CLI outputs: one digest of exit code, stdout and stderr per run.
 
 The corpus runs every command on every ``NONSEPARABLE_FIXTURES`` graph,
-two trees, a few fixed-seed random graphs and a 66-edge cubic graph past
-the CLI's level-cap threshold, in both formats, plus one run per exit-2
-path and a few runs on hand-written files.  ``tests/golden/digests.json`` holds the digests that
-``test_golden.py`` requires the CLI to reproduce.
+two trees, a few fixed-seed random graphs, a 66-edge cubic graph past
+the CLI's level-cap threshold and a twin-hub bipyramid, in both formats,
+plus one run per exit-2 path and a few runs on hand-written files.
+``tests/golden/digests.json`` holds the digests that ``test_golden.py``
+requires the CLI to reproduce.
 
 Regenerate the file with ``python tests/golden_corpus.py --force`` after
 a deliberate change of output, and name each changed entry in the change
@@ -44,7 +45,15 @@ def graphs() -> dict:
     out["cubic_12"] = fx.random_cubic(Random(5), 12)
     # 66 edges: the CLI caps the cut spectrum at 2 levels and says so
     out["cubic_44"] = fx.random_cubic(Random(1), 44)
+    out |= {name: make() for name, make in LATE.items()}
     return out
+
+
+# graphs added after the ring of compare runs was pinned; each is compared
+# with the graph before it, so every pair in the ring stays as it was.
+# The bipyramid's twin hubs of degree 13 over degree-4 rim vertices give
+# the cut step short columns of two entries, and 126 cut levels.
+LATE = {"bipyramid_13": lambda: fx.bipyramid(13)}
 
 
 def edge_list(edges) -> str:
@@ -84,18 +93,20 @@ FILE_RUNS = (
 )
 
 
-def graph_runs(names: list[str]) -> list[tuple[str, list[str]]]:
+def graph_runs(names: list[str], ring: int) -> list[tuple[str, list[str]]]:
     """(case, command line) of every graph run; files are named by graph,
-    and each graph is compared with the next one and with a relabelled
-    copy of itself."""
+    and each graph is compared with a relabelled copy of itself and with
+    another: the first ``ring`` names each with the next one in a ring,
+    and any name past them with the one before it."""
     runs = []
     for i, name in enumerate(names):
-        f, nxt, rev = f"{name}.edges", f"{names[(i + 1) % len(names)]}.edges", f"{name}_rev.edges"
+        j = (i + 1) % ring if i < ring else i - 1
+        f, other, rev = f"{name}.edges", f"{names[j]}.edges", f"{name}_rev.edges"
         for fmt in FORMATS:
             for args in (
                 ["invariant", f],
                 ["invariant", f, "--with-line-invariant"],
-                ["compare", f, nxt],
+                ["compare", f, other],
                 ["compare", f, rev, "--with-line-invariant"],
                 ["cycles", f],
                 ["spectrum", f, "--max-levels", "3"],
@@ -117,9 +128,10 @@ def write_inputs(where: Path) -> list[tuple[str, list[str]]]:
     for name, g in corpus.items():
         (where / f"{name}.edges").write_text(edge_list(g.edges))
         (where / f"{name}_rev.edges").write_text(edge_list(reversed_edges(g)))
+    names = [*sorted(corpus.keys() - LATE.keys()), *LATE]
     runs = [
         (case, [str(where / a) if a.endswith(".edges") else a for a in args])
-        for case, args in graph_runs(sorted(corpus))
+        for case, args in graph_runs(names, len(names) - len(LATE))
     ]
     for case, file, text, args in FILE_RUNS:
         path = where / (file or "nope.edges")

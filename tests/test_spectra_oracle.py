@@ -1,6 +1,8 @@
 """Integer-row spectra against the per-cell reference in spectra_reference."""
 
 import time
+from functools import reduce
+from operator import itemgetter, xor
 from random import Random
 
 import pytest
@@ -226,6 +228,21 @@ def test_cycle_base_grows_gently_on_large_cubic_graphs():
     assert timings[1][1] <= 10 * timings[0][1], timings
 
 
+def test_twin_hubs_step_about_as_fast_as_one_hub():
+    # K2,800's hubs tie for the longest slot, so pass one has 800 columns
+    # and each past the second is written over just the hubs' two sums.
+    # Chaining each short column onto the rest of the sums instead put
+    # every entry through about 800 nested iterators: a step took 10 to
+    # 11 times one on the 3,202-edge wheel, whose hub is folded.
+    best = []
+    for g in (fx.k2n(800), fx.wheel(1602)):
+        spec = spectra._cut_builder(g, None)
+        step = spectra._factor_step(g.m, slots(spec))
+        padded = [0, *spec.base]
+        best.append(min(timed(lambda: step(padded)) for _ in range(5)))
+    assert best[0] <= 3 * best[1], best
+
+
 def timed(fn):
     start = time.perf_counter()
     fn()
@@ -285,20 +302,11 @@ def test_double_count_identity_on_cubic_64_capped():
 # the identity it must give back the base rows.
 
 
-def identity_step(g, slots):
-    step = spectra._factor_step(g.m, slots)
-    padded = step((0, *(1 << i for i in range(g.m))))
-    assert padded[0] == 0
-    return padded[1:]
-
-
 def assert_factors_give_the_bases(g):
+    identity = (0, *(1 << i for i in range(g.m)))
     for builder in (spectra._cut_builder(g, None), cycle_builder(g)):
-        assert identity_step(g, slots(builder)) == builder.base
-
-
-def star(k):
-    return graph_from_edges(k + 1, [(1, v) for v in range(2, k + 2)])
+        step = spectra._factor_step(g.m, slots(builder))
+        assert step(identity) == [0, *builder.base]
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,10 +327,49 @@ def test_factor_step_gives_the_bases_on_byte_boundary_graphs(n, m, seed):
 # zero entry; K4's triangles cover each edge twice, so its rim is empty
 @pytest.mark.parametrize(
     "graph",
-    [fx.k2, lambda: star(8), lambda: fx.k_n(4), fx.spider_tree, fx.caterpillar_tree],
+    [fx.k2, lambda: fx.star(8), lambda: fx.k_n(4), fx.spider_tree, fx.caterpillar_tree],
     ids=["k2", "star_1_8", "k4", "spider", "caterpillar"],
 )
 def test_factor_step_gives_the_bases_on_padded_and_rimless_graphs(graph):
+    assert_factors_give_the_bases(graph())
+
+
+# Each pass XORs the part of its longest group past the second longest by
+# one gather and reduce.  The star's hub, the wheel's hub and the rims of
+# rook 4x4, g_12v35e and Petersen are groups far longer than the rest;
+# K2 and K4 have no such tail, and the twin hubs of K2,n and the
+# bipyramid tie, so their short columns are written over a prefix of the
+# sums.
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_folded_factor_step_on_the_identity_gives_the_bases(seed):
+    rng = Random(seed)
+    assert_factors_give_the_bases(fx.wheel(rng.randint(4, 13)))
+    assert_factors_give_the_bases(fx.k2n(rng.randint(2, 12)))
+    assert_factors_give_the_bases(fx.bipyramid(rng.randint(3, 12)))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        fx.k2,
+        lambda: fx.star(8),
+        lambda: fx.k_n(4),
+        fx.rook_4x4,
+        fx.g_12v35e,
+        fx.petersen,
+        lambda: fx.wheel(13),
+        lambda: fx.k2n(20),
+        lambda: fx.bipyramid(13),
+    ],
+    ids=[
+        "k2", "star_1_8", "k4", "rook_4x4", "g_12v35e", "petersen",
+        "wheel_13", "k2_20", "bipyramid_13",
+    ],
+)
+def test_folded_factor_step_gives_the_bases_on_fixtures(graph):
     assert_factors_give_the_bases(graph())
 
 
@@ -331,75 +378,94 @@ def test_k4_has_an_empty_rim():
     assert slots(cycle_builder(g))[-1] == ()
 
 
-# A factor XORs the part of its longest slot past the second longest, the
-# cycle factor's rim or the cut factor's hub vertex, by one gather and
-# reduce when that part holds two edges or more.  The fold is exact for
-# any slots.
+# One sparse XOR pass against a plain XOR per group.  Group 0 is empty, as
+# in both passes of a step, and entry 0 of the sequence is zero.
 
 
-def wheel(k):
-    rim = [(v, v + 1) for v in range(2, k + 1)] + [(2, k + 1)]
-    return graph_from_edges(k + 1, sorted([(1, v) for v in range(2, k + 2)] + rim))
+def reference_pass(groups, seq):
+    return [reduce(xor, (seq[j] for j in grp), 0) for grp in groups]
 
 
-def assert_folded_factors_give_the_bases(g):
-    identity = (0, *(1 << i for i in range(g.m)))
-    for builder in (spectra._cut_builder(g, None), cycle_builder(g)):
-        step = spectra._factor_step(g.m, slots(builder))
-        assert step(identity) == (0, *builder.base)
+@st.composite
+def pass_inputs(draw):
+    """Groups of a pass in one of the shapes the factors give, in any
+    order, and a sequence with entry 0 zero for them to index."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    count = draw(st.integers(min_value=1, max_value=10))
+    shape = draw(st.sampled_from(["empty", "ones", "equal", "random", "tied", "tail"]))
+    short = st.integers(min_value=0, max_value=4)
+    lengths = draw(st.lists(short, min_size=count, max_size=count))
+    if shape == "empty":
+        lengths = [0] * count
+    elif shape == "ones":
+        lengths = [1] * count
+    elif shape == "equal":
+        lengths = [draw(short)] * count
+    elif shape == "random":
+        lengths = [draw(st.integers(min_value=0, max_value=8)) for _ in lengths]
+    else:
+        # two tied longest groups, as K2,n's hubs give, or one far longer
+        # than the rest, as a rim or a hub's tail gives
+        long = draw(st.integers(min_value=5, max_value=40))
+        lengths += [long] if shape == "tail" else [long, long]
+        lengths = draw(st.permutations(lengths))
+    entry = st.integers(min_value=1, max_value=size)
+    groups = [draw(st.lists(entry, min_size=n, max_size=n)) for n in lengths]
+    row = st.integers(min_value=0, max_value=(1 << 40) - 1)
+    return [(), *groups], (0, *draw(st.lists(row, min_size=size, max_size=size)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_folded_factor_step_on_the_identity_gives_the_bases(seed):
-    rng = Random(seed)
-    assert_folded_factors_give_the_bases(fx.random_nonseparable(rng))
-    assert_folded_factors_give_the_bases(random_tree(rng))
-    assert_folded_factors_give_the_bases(wheel(rng.randint(3, 12)))
+@settings(max_examples=300, deadline=None)
+@given(pass_inputs())
+def test_xor_pass_matches_a_plain_xor_per_group(inputs):
+    groups, seq = inputs
+    assert spectra._xor_pass(groups)(seq) == reference_pass(groups, seq)
 
 
-@pytest.mark.parametrize(
-    "graph",
-    [fx.k2, lambda: star(8), lambda: fx.k_n(4), fx.rook_4x4, fx.g_12v35e, fx.petersen],
-    ids=["k2", "star_1_8", "k4", "rook_4x4", "g_12v35e", "petersen"],
-)
-def test_folded_factor_step_gives_the_bases_on_fixtures(graph):
-    assert_folded_factors_give_the_bases(graph())
-
-
-def pass_one_groups(monkeypatch, build):
-    """The slot groups of each pass one that build() makes."""
+def pass_gathers(monkeypatch, build):
+    """The groups of each XOR pass that build() makes, with the index
+    tuples of the gathers each pass makes over them."""
     real, made = spectra._xor_pass, []
 
-    def recording(groups, spare):
-        if spare == 0:
-            made.append([tuple(grp) for grp in groups])
-        return real(groups, spare)
+    def recording(groups):
+        made.append(([tuple(grp) for grp in groups], []))
+        return real(groups)
+
+    def gather(*ids):
+        made[-1][1].append(ids)
+        return itemgetter(*ids)
 
     monkeypatch.setattr(spectra, "_xor_pass", recording)
+    monkeypatch.setattr(spectra, "itemgetter", gather)
     build()
     return made
 
 
 def test_cut_pass_one_folds_the_hub(monkeypatch):
-    g = wheel(12)
-    hub, *rest = sorted(slots(spectra._cut_builder(g, None)), key=len, reverse=True)
-    assert (len(hub), len(rest[0])) == (12, 3)
-    made = pass_one_groups(monkeypatch, lambda: build_cut_spectrum(g, 3))
-    assert made == [[hub[:3], *rest, ()]]
+    g = fx.wheel(13)
+    hub, *rest, ring_sum = sorted(slots(spectra._cut_builder(g, None)), key=len, reverse=True)
+    assert (len(hub), len(rest[0]), ring_sum) == (12, 3, ())
+    (groups, gathers), _ = pass_gathers(monkeypatch, lambda: build_cut_spectrum(g, 3))
+    assert groups == [(), hub, *rest]
+    # three columns, then the hub's edges past the third in one gather
+    assert len(gathers) == 4
+    assert gathers[-1] == (0, *hub[3:])
 
 
 def test_rim_past_the_cycles_is_folded(monkeypatch):
     g = fx.rook_4x4()
     columns = slots(cycle_builder(g))
-    assert max(map(len, columns)) == g.m
-    (groups,) = pass_one_groups(monkeypatch, lambda: build_cycle_spectrum(g, None))
-    assert len(groups) == len(columns) + 1
-    assert len(groups[0]) == len(groups[1]) == 4
+    rim = columns[-1]
+    assert len(rim) == g.m and max(map(len, columns[:-1])) == 4
+    (groups, gathers), _ = pass_gathers(monkeypatch, lambda: build_cycle_spectrum(g, None))
+    assert groups[:2] == [(), rim]
+    # four columns, then the rim's edges past the fourth in one gather
+    assert len(gathers) == 5
+    assert gathers[-1] == (0, *rim[4:])
 
 
 def test_star_matches_reference():
-    g = star(8)
+    g = fx.star(8)
     for cap in CUT_CAPS:
         assert_matches_reference(cut_spectrum_unchecked(g, cap), ref.base_edge_cuts(g), cap)
 
