@@ -7,11 +7,11 @@ invariant.  Equality of all invariants is inconclusive; for small graphs
 an exhaustive search settles the question.
 
 The cut spectra of the two graphs are built in lockstep through the
-resumable level loop of spectra.Spectrum.  Both grow by 1, 2, 4, ...
-levels at a time, and each new common level is compared before the next
-chunk is built, so a pair that first differs at level l builds fewer
-than 2(l + 1) levels of each instead of both spectra to the end.  Every
-path here reads the weights its spectra record and keeps no rows.
+resumable level loop of spectra.Spectrum.  Both grow one level at a
+time, and each new common level is compared before the next is built,
+so a pair that first differs at level l builds at most l + 1 levels of
+each instead of both spectra to the end.  Every path here reads the
+weights its spectra record and keeps no rows.
 """
 
 from __future__ import annotations
@@ -117,27 +117,22 @@ def _settle_equal(g: Graph, h: Graph, brute_force_limit: int) -> ComparisonResul
 def _cut_witness(g: Graph, h: Graph, max_levels: int | None) -> str | None:
     """The first cut-spectrum witness that separates g and h, or None.
 
-    Both spectra grow in lockstep, by 1, 2, 4, ... levels at a time, and
-    each new common level's weights are compared, so a pair that differs
-    at level l builds fewer than 2(l + 1) levels of each.  When one
-    spectrum ends the other is built to its end: the level counts and the
-    totals need every level.
+    Both spectra grow in lockstep, one level at a time, and each new
+    common level's weights are compared before the next is built, so a
+    pair that differs at level l builds at most l + 1 levels of each.
+    When one spectrum ends the other is built to its end: the level
+    counts and the totals need every level.
     """
     for x in (g, h):
         _check_nonseparable(x)
     gb, hb = _cut_builder(g, max_levels), _cut_builder(h, max_levels)
-    compared, chunk = 0, 1
-    while True:
+    l = 0
+    while l < min(len(gb.weights), len(hb.weights)):
+        if Invariant.from_weights(*gb.weights[l]) != Invariant.from_weights(*hb.weights[l]):
+            return f"cut spectrum level {l} invariant"
+        l += 1
         for b in (gb, hb):
-            b.extend(compared + chunk)
-        for l in range(compared, min(len(gb.weights), len(hb.weights))):
-            if Invariant.from_weights(*gb.weights[l]) != Invariant.from_weights(*hb.weights[l]):
-                return f"cut spectrum level {l} invariant"
-        if gb.done or hb.done:
-            break
-        # neither is done, so both hold exactly the levels asked for
-        compared += chunk
-        chunk *= 2
+            b.extend(l + 1)
     for b in (gb, hb):
         b.extend(None)
     if (gb.level_count, gb.truncated) != (hb.level_count, hb.truncated):

@@ -6,13 +6,19 @@ in ascending order and listing each edge at its lower endpoint with
 neighbors sorted, which is the same as sorting endpoint pairs
 lexicographically.  Spanning subgraphs are represented as edge sets backed
 by integer bit masks, so ring sums are single XOR operations.
+
+_gather_pass is the one sparse pass of the package: entry i of its
+result folds the entries a group of indices names, by XOR for a level
+step of the spectra, by OR for a level of the distance spheres.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from itertools import zip_longest
 from operator import itemgetter, or_, xor
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AsymmetricAdjacency,
@@ -290,12 +296,9 @@ def graph_from_edges(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
             raise DuplicateNeighbor(f"edge {key} listed twice")
         seen.add(key)
         edges.append(key)
-    neigh: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        neigh[u].append(v)
-        neigh[v].append(u)
-    _check_connected(n, neigh)
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    _check_connected(n, g._adj)
+    return g
 
 
 def central_cut(g: Graph, v: int) -> EdgeSet:
@@ -321,6 +324,56 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _gather_pass(
+    groups: Sequence[Sequence[int]], op: Callable[[int, int], int]
+) -> Callable[[Sequence[int]], list[int]]:
+    """One sparse pass: a function of a sequence whose entry 0 is zero,
+    returning entry i = op folded over the entries groups[i] indexes.
+    op is xor or or_, associative with 0 as identity; groups[0] is empty,
+    so entry 0 of the result is zero too, and there are two groups or more.
+
+    Column c picks entry c of each group, or entry 0 where a group is
+    shorter.  Column 0, and each column that spans every group, is folded
+    in by a lazy map; a shorter one is written over just its prefix, which
+    ends after the last group longer than c.  The longest group's entries
+    past the second longest, the cycle factor's rim or a hub's edges or
+    neighbours, are folded by one gather and reduce.
+    """
+    n = len(groups)
+    lengths = [*map(len, groups)]
+    *_, second, longest = sorted(lengths)
+    top, cols = lengths.index(longest), max(1, second)
+    # one backward walk: column c ends after the last group longer than c
+    ends = [n]
+    for i in range(n - 1, 0, -1):
+        if lengths[i] > len(ends):
+            ends += [i + 1] * (min(lengths[i], cols) - len(ends))
+            if len(ends) == cols:
+                break
+    columns = zip_longest((0,), *groups[1:], fillvalue=0)
+    gathers = [itemgetter(*col[:end]) for col, end in zip(columns, ends)]
+    k = ends.count(n)
+    start, *full = gathers[:k]
+    short = [*zip(gathers[k:], ends[k:])]
+    tail = groups[top][cols:]
+    # the extra 0 makes the gather return a tuple
+    fold = [(top, itemgetter(0, *tail))] if tail else []
+
+    def gather_pass(seq: Sequence[int]) -> list[int]:
+        out = start(seq)
+        for col in full:
+            out = map(op, col(seq), out)
+        out = list(out)
+        for col, end in short:
+            # the map is drawn in full before the slice is written
+            out[:end] = map(op, col(seq), out)
+        for i, gather in fold:
+            out[i] = reduce(op, gather(seq), out[i])
+        return out
+
+    return gather_pass
+
+
 def distance_spheres(g: Graph) -> tuple[tuple[int, ...], ...]:
     """spheres[v][d]: bit mask of the vertices at distance exactly d from v
     (bit u for vertex u), for d = 0..diameter + 1, the last always empty;
@@ -328,49 +381,27 @@ def distance_spheres(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     Built for every source in one pass and kept on the graph.  A vertex's
     ball of radius d + 1 is its ball of radius d ORed with the balls of
-    radius d of its neighbours, so a level is one OR per neighbour-list
-    entry, done by gathers: column j picks each vertex's j-th neighbour.
+    radius d of its neighbours: one _gather_pass with or_ over the
+    neighbour lists, and one map that ORs each ball's own value in.
     Levels repeat until every ball holds every vertex, and sphere d is
-    ball d XOR ball d - 1.  The balls sit in degree order, highest first,
-    so column j covers a prefix of them.  A column that every vertex
-    fills is ORed by a plain map; a shorter one is written over just its
-    prefix, so a hub's neighbours cost one entry each, not one padded
-    column each.  spheres[v][1] is the neighbour mask of v."""
+    ball d XOR ball d - 1.  spheres[v][1] is the neighbour mask of v."""
     if g._spheres is not None:
         return g._spheres
-    # ball p belongs to order[p - 1]; ball 0 stays empty, and every column
-    # starts with it, so a column's gather lines up with the balls from 0
-    # on and holds two entries at least, which makes it return a tuple
-    order = sorted(g.vertices, key=[*map(len, g._adj)].__getitem__, reverse=True)
-    at = [0] * (g.n + 1)
-    for p, v in enumerate(order, start=1):
-        at[v] = p
-    columns = [[0] for _ in g._adj[order[0]]]
-    for v in order:
-        for col, u in zip(columns, g._adj[v]):
-            col.append(at[u])
-    full = [itemgetter(*col) for col in columns if len(col) > g.n]
-    short = [(itemgetter(*col), len(col)) for col in columns if len(col) <= g.n]
-    ball = [0, *(1 << v for v in order)]
+    grow = _gather_pass(g._adj, or_)
+    # ball v belongs to vertex v, and ball 0 stays empty
+    ball = [0, *(1 << v for v in g.vertices)]
     spheres = [ball]
     # the pass ends when every ball holds every vertex, or, on a graph made
     # disconnected by calling Graph directly, when no ball grows
     whole = (1 << g.n + 1) - 2
     while ball.count(whole) < g.n:
-        grown = ball
-        for col in full:
-            grown = map(or_, col(ball), grown)
-        grown = list(grown)
-        for col, end in short:
-            # the map is drawn in full before the slice is written
-            grown[:end] = map(or_, col(ball), grown)
+        grown = [*map(or_, ball, grow(ball))]
         if grown == ball:
             break
         spheres.append([*map(xor, grown, ball)])
         ball = grown
     spheres.append([0] * (g.n + 1))
-    # one row of spheres per ball, read back in vertex order
-    object.__setattr__(g, "_spheres", itemgetter(*at)(tuple(zip(*spheres))))
+    object.__setattr__(g, "_spheres", tuple(zip(*spheres)))
     return g._spheres
 
 

@@ -25,11 +25,9 @@ symmetric, the weight of edge e at a level is the popcount of row e
 masked by the rows still alive there.
 
 The build takes each level step through W in two sparse XOR passes,
-about 3m XORs per level for cuts whatever the density.  A pass XORs in
-column c, entry c of each group, by a lazy map, or over just its prefix
-of the result where the column is short; the longest group's tail is
-one gather.  It builds the step from the same columns only for the first
-step past the base level, after checking that the step maps the
+graphs._gather_pass with xor, about 3m XORs per level for cuts whatever
+the density.  It builds the step from the same columns only for the
+first step past the base level, after checking that the step maps the
 identity to M.  A row dies (shows an empty cell) the moment its value
 is zero or repeats an earlier value of the same row.  Construction
 stops when every row is dead or at an explicit level cap.
@@ -59,12 +57,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import zip_longest
-from operator import itemgetter, xor
+from operator import xor
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotNonseparable, VertexOutOfRange
-from .graphs import EdgeSet, Graph, bit_ids, is_nonseparable
+from .graphs import EdgeSet, Graph, _gather_pass, bit_ids, is_nonseparable
 from .isometric import _cycle_masks
 
 Cell = EdgeSet | None
@@ -127,53 +124,6 @@ def base_edge_cuts(g: Graph) -> tuple[EdgeSet, ...]:
     return _wrap(g, _cut_builder(g, None).base)
 
 
-def _xor_pass(groups: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[int]]:
-    """One sparse XOR pass: a function of a sequence whose entry 0 is
-    zero, returning entry i = the XOR of the entries groups[i] indexes.
-    groups[0] is empty, so entry 0 of the result is zero too, and there
-    are two groups or more.
-
-    Column c picks entry c of each group, or entry 0 where a group is
-    shorter.  A column that spans every group, and column 0, is XORed in
-    by a lazy map; a shorter one is written over just its prefix.  The
-    longest group's entries past the second longest, the cycle factor's
-    rim or a hub's edges, are XORed by one gather and reduce.
-    """
-    n = len(groups)
-    lengths = [*map(len, groups)]
-    *_, second, longest = sorted(lengths)
-    top, cols = lengths.index(longest), max(1, second)
-    # one backward walk: column c ends after the last group longer than c
-    ends = [n]
-    for i in range(n - 1, 0, -1):
-        if lengths[i] > len(ends):
-            ends += [i + 1] * (min(lengths[i], cols) - len(ends))
-            if len(ends) == cols:
-                break
-    columns = zip_longest((0,), *groups[1:], fillvalue=0)
-    gathers = [itemgetter(*col[:end]) for col, end in zip(columns, ends)]
-    k = ends.count(n)
-    start, *full = gathers[:k]
-    short = [*zip(gathers[k:], ends[k:])]
-    tail = groups[top][cols:]
-    # the extra 0 makes the gather return a tuple
-    fold = [(top, itemgetter(0, *tail))] if tail else []
-
-    def xor_pass(seq: Sequence[int]) -> list[int]:
-        out = start(seq)
-        for col in full:
-            out = map(xor, col(seq), out)
-        out = list(out)
-        for col, end in short:
-            # the map is drawn in full before the slice is written
-            out[:end] = map(xor, col(seq), out)
-        for i, gather in fold:
-            out[i] ^= reduce(xor, gather(seq))
-        return out
-
-    return xor_pass
-
-
 def _factor_step(m: int, slots: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[int]]:
     """Level step R -> M·R for a base M = W·Wᵀ over GF(2), where each slot
     lists the edge ids in one column of the sparse factor W.
@@ -191,7 +141,7 @@ def _factor_step(m: int, slots: Sequence[Sequence[int]]) -> Callable[[Sequence[i
     for s, slot in enumerate(slots, start=1):
         for e in slot:
             holders[e].append(s)
-    first, second = _xor_pass([(), *slots]), _xor_pass(holders)
+    first, second = _gather_pass([(), *slots], xor), _gather_pass(holders, xor)
 
     def step(padded: Sequence[int]) -> list[int]:
         return second(first(padded))

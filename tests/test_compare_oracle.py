@@ -194,6 +194,19 @@ def test_witness_at_level_l_builds_fewer_than_2_l_plus_2_levels(monkeypatch, ind
     assert max(steps, default=1) < 2 * (l + 1)
 
 
+@pytest.mark.parametrize("index", range(7))
+def test_witness_at_level_l_steps_each_graph_at_most_l_plus_1_times(monkeypatch, index):
+    g, h = level_witness_pairs()[index]
+    witness = ref.compare(g, h).witness
+    l = int(witness.split()[3])
+    steps = count_steps(monkeypatch)
+    assert compare_graphs(g, h).witness == witness
+    # one call checks the step on the identity, and each of l steps builds
+    # one level past the base; a level-0 witness builds no step at all
+    assert len(steps) <= 2
+    assert max(steps, default=0) <= l + 1
+
+
 def test_some_level_witness_pair_saves_levels():
     # the bound above has teeth: the reference builds more than it allows
     saved = 0

@@ -2,7 +2,7 @@
 
 import time
 from functools import reduce
-from operator import itemgetter, xor
+from operator import itemgetter, or_, xor
 from random import Random
 
 import pytest
@@ -21,8 +21,8 @@ from edgespec import (
     spectrum_invariant,
     vertex_weights,
 )
-from edgespec import spectra
-from edgespec.graphs import bit_ids
+from edgespec import graphs, spectra
+from edgespec.graphs import Graph, _gather_pass, bit_ids, distance_spheres
 from edgespec.isometric import _cycle_masks
 from edgespec.spectra import cut_spectrum_unchecked
 
@@ -378,12 +378,14 @@ def test_k4_has_an_empty_rim():
     assert slots(cycle_builder(g))[-1] == ()
 
 
-# One sparse XOR pass against a plain XOR per group.  Group 0 is empty, as
-# in both passes of a step, and entry 0 of the sequence is zero.
+# The sparse gather pass against a plain fold per group, with xor as in
+# both passes of a spectrum step and with or_ as in a level of the distance
+# spheres.  Group 0 is empty, as in both users, and entry 0 of the
+# sequence is zero.
 
 
-def reference_pass(groups, seq):
-    return [reduce(xor, (seq[j] for j in grp), 0) for grp in groups]
+def reference_pass(groups, seq, op=xor):
+    return [reduce(op, (seq[j] for j in grp), 0) for grp in groups]
 
 
 @st.composite
@@ -419,24 +421,32 @@ def pass_inputs(draw):
 @given(pass_inputs())
 def test_xor_pass_matches_a_plain_xor_per_group(inputs):
     groups, seq = inputs
-    assert spectra._xor_pass(groups)(seq) == reference_pass(groups, seq)
+    assert _gather_pass(groups, xor)(seq) == reference_pass(groups, seq)
 
 
-def pass_gathers(monkeypatch, build):
-    """The groups of each XOR pass that build() makes, with the index
-    tuples of the gathers each pass makes over them."""
-    real, made = spectra._xor_pass, []
+@settings(max_examples=300, deadline=None)
+@given(pass_inputs())
+def test_or_pass_matches_a_plain_or_per_group(inputs):
+    groups, seq = inputs
+    assert _gather_pass(groups, or_)(seq) == reference_pass(groups, seq, or_)
 
-    def recording(groups):
+
+def pass_gathers(monkeypatch, build, caller=spectra):
+    """The groups of each gather pass that build() makes through the
+    caller's module, with the index tuples of the gathers each pass makes
+    over them."""
+    real, made = graphs._gather_pass, []
+
+    def recording(groups, op):
         made.append(([tuple(grp) for grp in groups], []))
-        return real(groups)
+        return real(groups, op)
 
     def gather(*ids):
         made[-1][1].append(ids)
         return itemgetter(*ids)
 
-    monkeypatch.setattr(spectra, "_xor_pass", recording)
-    monkeypatch.setattr(spectra, "itemgetter", gather)
+    monkeypatch.setattr(caller, "_gather_pass", recording)
+    monkeypatch.setattr(graphs, "itemgetter", gather)
     build()
     return made
 
@@ -462,6 +472,18 @@ def test_rim_past_the_cycles_is_folded(monkeypatch):
     # four columns, then the rim's edges past the fourth in one gather
     assert len(gathers) == 5
     assert gathers[-1] == (0, *rim[4:])
+
+
+def test_sphere_pass_folds_the_hub(monkeypatch):
+    # a fresh graph: the fixture is cached and may carry its spheres
+    g = Graph(13, fx.wheel(13).edges)
+    hub = g.adjacency(1)
+    assert len(hub) == 12 and {g.degree(v) for v in g.vertices[1:]} == {3}
+    [(groups, gathers)] = pass_gathers(monkeypatch, lambda: distance_spheres(g), graphs)
+    assert groups == [(), *map(g.adjacency, g.vertices)]
+    # three columns, then the hub's neighbours past the third in one gather
+    assert len(gathers) == 4
+    assert gathers[-1] == (0, *hub[3:])
 
 
 def test_star_matches_reference():
