@@ -26,7 +26,7 @@ from .engine import (
     tree_invariant,
     vertex_orbit_partition,
 )
-from .errors import EdgespecError, GrfParseError
+from .errors import EdgespecError, GrfParseError, VertexOutOfRange
 from .graphs import Graph, bit_ids
 from .grf import load_graph, parse_edgelist, parse_grf
 from .isometric import cycle_order, isometric_cycles
@@ -61,6 +61,9 @@ def _load(path: str) -> Graph:
 
 
 def _effective_levels(g: Graph, max_levels: int | None, kind: str = "cut") -> int | None:
+    # checked before the tree routing, so the exit code is 2 for any input
+    if max_levels is not None and max_levels < 1:
+        raise VertexOutOfRange(f"level cap {max_levels} must be at least 1")
     # trees take the tree invariant, which no cap applies to
     if max_levels is not None or is_tree(g):
         return max_levels

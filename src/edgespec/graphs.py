@@ -7,6 +7,12 @@ neighbors sorted, which is the same as sorting endpoint pairs
 lexicographically.  Spanning subgraphs are represented as edge sets backed
 by integer bit masks, so ring sums are single XOR operations.
 
+A Graph holds one such mask per vertex, its central cut, with bit e - 1
+set for each edge e at the vertex; every module reads the incidence from
+these masks.  In a simple graph the masks of u and v share exactly the
+bit of edge uv, or none when u and v are not adjacent.  Every Graph is
+connected: the constructor raises DisconnectedGraph otherwise.
+
 _gather_pass is the one sparse pass of the package: entry i of its
 result folds the entries a group of indices names, by XOR for a level
 step of the spectra, by OR for a level of the distance spheres.
@@ -14,7 +20,6 @@ step of the spectra, by OR for a level of the distance spheres.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import reduce
 from itertools import zip_longest
 from operator import itemgetter, or_, xor
@@ -121,29 +126,33 @@ def ring_sum(a: EdgeSet, b: EdgeSet) -> EdgeSet:
 
 
 class Graph:
-    """Immutable simple undirected graph with 1-based vertex and edge ids."""
+    """Immutable simple undirected graph with 1-based vertex and edge ids.
 
-    __slots__ = ("n", "m", "edges", "_adj", "_inc", "_eid", "_spheres")
+    The constructor raises DisconnectedGraph unless every vertex is
+    reachable from vertex 1, so every Graph is connected."""
+
+    # _cut[v]: the central cut of v as an edge mask, bit e - 1 for edge e
+    __slots__ = ("n", "m", "edges", "_adj", "_cut", "_spheres")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]) -> None:
         # edges must arrive validated and normalized (u < v), in id order
+        if n < 1:
+            raise VertexOutOfRange(f"vertex count {n} must be positive")
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        inc: list[list[int]] = [[] for _ in range(n + 1)]
-        eid: dict[tuple[int, int], int] = {}
-        for k, (u, v) in enumerate(edges, start=1):
+        cut = [0] * (n + 1)
+        for k, (u, v) in enumerate(edges):
             adj[u].append(v)
             adj[v].append(u)
-            inc[u].append(k)
-            inc[v].append(k)
-            eid[(u, v)] = k
+            cut[u] |= 1 << k
+            cut[v] |= 1 << k
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", len(edges))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_inc", tuple(tuple(sorted(i)) for i in inc))
-        object.__setattr__(self, "_eid", eid)
+        object.__setattr__(self, "_cut", tuple(cut))
         # distance_spheres fills this on first use
         object.__setattr__(self, "_spheres", None)
+        _check_connected(n, self._adj)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -164,7 +173,7 @@ class Graph:
     def incident_edges(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:
             raise VertexOutOfRange(f"vertex {v} outside 1..{self.n}")
-        return self._inc[v]
+        return bit_ids(self._cut[v])
 
     def degree(self, v: int) -> int:
         return len(self.adjacency(v))
@@ -178,15 +187,16 @@ class Graph:
         return self.edges[e - 1]
 
     def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._eid[key]
-        except KeyError:
-            raise VertexOutOfRange(f"no edge {key}") from None
+        if not self.has_edge(u, v):
+            raise VertexOutOfRange(f"no edge {(u, v) if u < v else (v, u)}")
+        return (self._cut[u] & self._cut[v]).bit_length()
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._eid
+        # a vertex's mask ANDed with itself, or an index outside 1..n,
+        # would read as an edge
+        if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
+            return False
+        return self._cut[u] & self._cut[v] != 0
 
     def empty_set(self) -> EdgeSet:
         return EdgeSet.from_bits(self.m, 0)
@@ -246,16 +256,16 @@ def _validate_adjacency(n: int, adjacency) -> list[tuple[int, ...]]:
 
 
 def _check_connected(n: int, neigh: Sequence[tuple[int, ...]]) -> None:
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
+    seen = [False, True] + [False] * (n - 1)
+    reached = [1]
+    # the loop also walks the vertices it appends
+    for v in reached:
         for u in neigh[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) != n:
-        missing = sorted(set(range(1, n + 1)) - seen)
+            if not seen[u]:
+                seen[u] = True
+                reached.append(u)
+    if len(reached) != n:
+        missing = [v for v in range(1, n + 1) if not seen[v]]
         raise DisconnectedGraph(f"vertices unreachable from 1: {missing}")
 
 
@@ -267,7 +277,6 @@ def build_graph(n: int, adjacency) -> Graph:
     vertices, and disconnected graphs.
     """
     neigh = _validate_adjacency(n, adjacency)
-    _check_connected(n, neigh)
     edges = []
     for v in range(1, n + 1):
         for u in neigh[v]:
@@ -296,9 +305,7 @@ def graph_from_edges(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
             raise DuplicateNeighbor(f"edge {key} listed twice")
         seen.add(key)
         edges.append(key)
-    g = Graph(n, edges)
-    _check_connected(n, g._adj)
-    return g
+    return Graph(n, edges)
 
 
 def central_cut(g: Graph, v: int) -> EdgeSet:
@@ -391,13 +398,10 @@ def distance_spheres(g: Graph) -> tuple[tuple[int, ...], ...]:
     # ball v belongs to vertex v, and ball 0 stays empty
     ball = [0, *(1 << v for v in g.vertices)]
     spheres = [ball]
-    # the pass ends when every ball holds every vertex, or, on a graph made
-    # disconnected by calling Graph directly, when no ball grows
+    # the graph is connected, so every ball grows until it holds every vertex
     whole = (1 << g.n + 1) - 2
     while ball.count(whole) < g.n:
         grown = [*map(or_, ball, grow(ball))]
-        if grown == ball:
-            break
         spheres.append([*map(xor, grown, ball)])
         ball = grown
     spheres.append([0] * (g.n + 1))
@@ -422,7 +426,7 @@ class NonseparableReport:
 
 
 def is_nonseparable(g: Graph) -> NonseparableReport:
-    """Check that g is connected with no articulation vertex.
+    """Check that g, connected as every Graph is, has no articulation vertex.
 
     A single edge qualifies; a single vertex qualifies vacuously.
     """
@@ -461,8 +465,6 @@ def is_nonseparable(g: Graph) -> NonseparableReport:
                     low[p] = low[v]
                 if p != 1 and low[v] >= disc[p]:
                     cut = p
-    if timer != g.n:
-        return NonseparableReport(False, "disconnected")
     if root_children > 1:
         cut = 1
     if cut is not None:

@@ -30,14 +30,6 @@ from .errors import CandidateOverflow, NotACycle
 from .graphs import EdgeSet, Graph, distance_spheres
 
 
-def _edge_bits(g: Graph) -> list[dict[int, int]]:
-    # edge_bit[u][v]: the bit of edge uv in an edge mask
-    edge_bit: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
-    for e, (u, v) in enumerate(g.edges):
-        edge_bit[u][v] = edge_bit[v][u] = 1 << e
-    return edge_bit
-
-
 def _overflow(limit: int) -> CandidateOverflow:
     return CandidateOverflow(f"{limit + 1} route pairs exceed limit {limit}")
 
@@ -47,7 +39,7 @@ def _walk(
     probes: Callable[[int, int], Sequence[tuple[tuple[int, ...], tuple[int, ...], int, int]]],
     masks: Sequence[Sequence[int]],
     spheres: Sequence[Sequence[int]],
-    edge_bit: list[dict[int, int]],
+    cut: Sequence[int],
     limit: int,
     found: list[int],
 ) -> None:
@@ -56,6 +48,7 @@ def _walk(
     to its anchor w, through vertices above w.  The top is the vertex
     p = q, or the edge pq whose mask is ``bits``, and a_t and b_t lie at
     level k - t from w, so the pair (a_(k-1), b_(k-1)) closes at w.
+    The bit of edge xy is ``cut[x] & cut[y]``, the masks of the graph.
 
     A step's candidates are the neighbours of each route's end at its
     level above w, as bit masks (``spheres[v][1]`` and ``spheres[w][k - t]``).
@@ -77,7 +70,7 @@ def _walk(
     for w, p, q, bits, k in tops:
         if w != anchor:
             anchor = w
-            to_w = edge_bit[w]
+            cut_w = cut[w]
             above = -2 << w  # the bits of the vertices above w
             levels = []
         # levels[j]: the vertices above w at level j
@@ -98,7 +91,7 @@ def _walk(
                 xs &= masks[route[i]][d]
             for i in on_b:
                 ok_b &= masks[route[i]][d]
-            bits_a, bits_b = edge_bit[a_end], edge_bit[b_end]
+            cut_a, cut_b = cut[a_end], cut[b_end]
             first = even and t == 1
             last = t == k - 1
             while xs:
@@ -110,14 +103,16 @@ def _walk(
                 if tried > limit:
                     raise _overflow(limit)
                 ys &= ok_b & masks[x][dxy]
-                step = bits | bits_a[x]
+                cut_x = cut[x]
+                step = bits | cut_a & cut_x
                 while ys:
                     y = ys.bit_length() - 1
                     ys ^= 1 << y
+                    cut_y = cut[y]
                     if last:
-                        found.append(step | bits_b[y] | to_w[x] | to_w[y])
+                        found.append(step | cut_b & cut_y | cut_w & (cut_x | cut_y))
                     else:
-                        stack.append((route + (x, y), step | bits_b[y]))
+                        stack.append((route + (x, y), step | cut_b & cut_y))
 
 
 @cache
@@ -187,10 +182,9 @@ def _cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
     """The edge masks of the isometric cycles, in the order the search
     finds them; see ``isometric_cycles``."""
     spheres = distance_spheres(g)
-    edge_bit = _edge_bits(g)
     found: list[int] = []
-    tops = _tops(g, spheres, spheres, edge_bit, found)
-    _walk(tops, _step_probes, spheres, spheres, edge_bit, limit, found)
+    tops = _tops(g, spheres, spheres, found)
+    _walk(tops, _step_probes, spheres, spheres, g._cut, limit, found)
     return found
 
 
@@ -198,7 +192,6 @@ def _tops(
     g: Graph,
     spheres: tuple[tuple[int, ...], ...],
     masks: Sequence[Sequence[int]],
-    edge_bit: list[dict[int, int]],
     found: list[int],
 ) -> Iterator[tuple[int, int, int, int, int]]:
     """The tops (w, p, q, bits, k), k >= 2, that pass the tests at the
@@ -229,19 +222,19 @@ def _tops(
     a neighbour among a_1, its b end among b_1.  A top that fails closes
     no cycle of the search.  At k = 1 every edge uv between two neighbours
     of w above it closes the triangle w u v, a line cycle as well."""
-    adj = g._adj
+    adj, cut = g._adj, g._cut
     for w in g.vertices:
         ys = [y for y in adj[w] if y > w]
         if len(ys) < 2:
             continue
         sw = spheres[w]
         above = -2 << w
-        to_w = edge_bit[w]
+        cut_w = cut[w]
         # triangles w u v
         for u in ys:
             for v in adj[u]:
                 if v > u and sw[1] >> v & 1:
-                    found.append(to_w[u] | to_w[v] | edge_bit[u][v])
+                    found.append(cut_w & (cut[u] | cut[v]) | cut[u] & cut[v])
         pairs = list(combinations([(spheres[y], masks[y]) for y in ys], 2))
         for k in range(2, len(sw)):
             # a top at cyclic distance k from w; a route down from it
@@ -286,7 +279,7 @@ def _tops(
                     while ends:
                         high = ends & -ends
                         ends ^= high
-                        odds |= edge_bit[u][high.bit_length() - 1]
+                        odds |= cut[u] & cut[high.bit_length() - 1]
             while evens:
                 low = evens & -evens
                 evens ^= low
@@ -365,10 +358,9 @@ def line_cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
     spheres = distance_spheres(g)
     # far[v][d]: mask of the vertices at distance d - 1 or more from v
     far = [tuple(accumulate(reversed(s[:1] + s), or_))[::-1] for s in spheres]
-    edge_bit = _edge_bits(g)
     found: list[int] = []
-    tops = _tops(g, spheres, far, edge_bit, found)
-    _walk(tops, _line_probes, far, spheres, edge_bit, limit, found)
+    tops = _tops(g, spheres, far, found)
+    _walk(tops, _line_probes, far, spheres, g._cut, limit, found)
     return found
 
 

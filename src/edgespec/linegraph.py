@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, bit_ids, build_graph
 from .isometric import _cycle_masks, line_cycle_masks
 from .spectra import Invariant, _vertex_sums
 
@@ -55,14 +55,10 @@ class LineGraph:
 
 
 def line_graph(g: Graph) -> LineGraph:
-    rows: list[set[int]] = [set() for _ in range(g.m + 1)]
-    for v in g.vertices:
-        inc = g.incident_edges(v)
-        for i, e in enumerate(inc):
-            for f in inc[i + 1 :]:
-                rows[e].add(f)
-                rows[f].add(e)
-    lg = build_graph(g.m, [sorted(rows[e]) for e in g.edge_ids])
+    # edge uv meets the other edges at u and at v
+    cut = g._cut
+    rows = [bit_ids((cut[u] | cut[v]) ^ (1 << e)) for e, (u, v) in enumerate(g.edges)]
+    lg = build_graph(g.m, rows)
     assert lg.m == sum(comb(g.degree(v), 2) for v in g.vertices)
     return LineGraph(lg, g)
 

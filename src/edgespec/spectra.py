@@ -109,16 +109,6 @@ def _wrap(g: Graph, rows: Iterable[int]) -> tuple[EdgeSet, ...]:
     return tuple(EdgeSet.from_bits(g.m, r) for r in rows)
 
 
-def _vertex_cuts(g: Graph) -> list[int]:
-    """The central cut of every vertex as a mask: the columns of the
-    incidence factor, with BᵀB = the base edge cuts."""
-    inc = [0] * (g.n + 1)
-    for e, (u, v) in enumerate(g.edges):
-        inc[u] |= 1 << e
-        inc[v] |= 1 << e
-    return inc[1:]
-
-
 def base_edge_cuts(g: Graph) -> tuple[EdgeSet, ...]:
     """w0(e) for every edge: ring sum of the endpoint central cuts."""
     return _wrap(g, _cut_builder(g, None).base)
@@ -171,9 +161,8 @@ class Spectrum:
     the last rows, live sets and factor step for the next call.  Each
     live row's set of held values grows through level m and is only read
     after that, when every row runs purely periodically (see the module
-    docstring), so it never holds more than m + 2 values.  After any
-    call, done tells whether the spectrum is complete: every row is dead,
-    or the cap was reached with rows still alive, which sets truncated.
+    docstring), so it never holds more than m + 2 values.  Reaching the
+    cap with rows still alive sets truncated.
     """
 
     def __init__(
@@ -210,10 +199,6 @@ class Spectrum:
         self._cap = level_cap
         self._step = None
         self._padded = [0, *matrix]
-
-    @property
-    def done(self) -> bool:
-        return self.truncated or not self._mask
 
     @property
     def level_count(self) -> int:
@@ -293,7 +278,7 @@ def _check_nonseparable(g: Graph) -> None:
 
 def _cut_builder(g: Graph, level_cap: int | None, keep_rows: bool = False) -> Spectrum:
     """Cut spectrum at its base level, without the nonseparability gate."""
-    return Spectrum("cut", g, _vertex_cuts(g), level_cap, keep_rows)
+    return Spectrum("cut", g, g._cut[1:], level_cap, keep_rows)
 
 
 def build_cut_spectrum(g: Graph, level_cap: int | None = None) -> Spectrum:

@@ -466,6 +466,27 @@ class TestContract:
 
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            # trees take no cap, so the check must come before the routing
+            ["invariant", "p3.edges"],
+            # the vertex counts differ, which compare finds before any level
+            ["compare", "k3.edges", "c4.edges"],
+            ["orbits", "c4.edges"],
+        ],
+        ids=["tree", "compare_vertex_count", "orbits"],
+    )
+    def test_level_cap_below_1_exits_2(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p3.edges", "1 2\n2 3\n")
+        write(tmp_path, "k3.edges", "1 2\n2 3\n1 3\n")
+        write(tmp_path, "c4.edges", "1 2\n2 3\n3 4\n1 4\n")
+        r = runner.invoke(main, [*args, "--max-levels", "0"])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: level cap 0 must be at least 1\n"
+
+    @pytest.mark.parametrize(
         "command, flags",
         [
             ("invariant", ["--with-line-invariant"]),

@@ -104,8 +104,20 @@ class TestBuildGraph:
             g.adjacency(7)
         with pytest.raises(VertexOutOfRange):
             g.edge_endpoints(12)
-        with pytest.raises(VertexOutOfRange, match="no edge"):
-            g.edge_id(1, 5)
+        for u, v in ((1, 5), (5, 1)):
+            assert not g.has_edge(u, v)
+            with pytest.raises(VertexOutOfRange, match=r"^no edge \(1, 5\)$"):
+                g.edge_id(u, v)
+        # an edge is the AND of two vertex masks: a vertex with itself, or
+        # an index outside 1..n, must not read as one
+        for v in g.vertices:
+            assert not g.has_edge(v, v)
+            with pytest.raises(VertexOutOfRange, match=rf"^no edge \({v}, {v}\)$"):
+                g.edge_id(v, v)
+            for u in (0, -1, g.n + 1):
+                assert not g.has_edge(u, v) and not g.has_edge(v, u)
+                with pytest.raises(VertexOutOfRange, match="^no edge"):
+                    g.edge_id(u, v)
 
     def test_sequence_adjacency_accepted(self):
         g = build_graph(3, [[2, 3], [1, 3], [1, 2]])
@@ -138,6 +150,8 @@ class TestBuildGraph:
     def test_empty_graph_rejected(self):
         with pytest.raises(VertexOutOfRange):
             build_graph(0, {})
+        with pytest.raises(VertexOutOfRange, match="vertex count 0"):
+            Graph(0, [])
 
 
 class TestGraphFromEdges:
@@ -178,6 +192,37 @@ def test_central_cuts_cover_each_edge_twice():
         for e in central_cut(g, v):
             counts[e] += 1
     assert all(c == 2 for c in counts[1:])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_incidence_matches_the_edge_list(seed):
+    # the reference oracles read these accessors, so they are checked here
+    # against g.edges alone, on edges listed in a random order
+    rng = Random(seed)
+    if seed % 2:
+        # a tree from a Prüfer sequence over few labels: hubs and leaves
+        k = rng.randint(0, 12)
+        g = fx.tree_from_pruefer([rng.randint(1, min(5, k + 2)) for _ in range(k)])
+    else:
+        g = fx.random_nonseparable(rng)
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    g = graph_from_edges(g.n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+    ids = {pair: e for e, pair in enumerate(g.edges, start=1)}
+    for v in g.vertices:
+        at_v = tuple(e for pair, e in ids.items() if v in pair)
+        assert g.incident_edges(v) == tuple(sorted(at_v))
+        assert central_cut(g, v) == EdgeSet(g.m, at_v)
+    for u in range(-1, g.n + 2):
+        for v in range(-1, g.n + 2):
+            e = ids.get((u, v) if u < v else (v, u))
+            assert g.has_edge(u, v) == (e is not None)
+            if e is None:
+                with pytest.raises(VertexOutOfRange, match="^no edge"):
+                    g.edge_id(u, v)
+            else:
+                assert g.edge_id(u, v) == e
 
 
 def test_all_pairs_distances():
@@ -233,12 +278,17 @@ def assert_spheres_match_plain_bfs(g):
         pytest.param(lambda: fx.hypercube(5), id="hypercube_5"),
         pytest.param(lambda: fx.k_n(7), id="k_7"),
         pytest.param(lambda: fx.random_cubic(Random(64002), 64), id="cubic_64"),
-        # only a direct Graph call makes one; no ball ever holds every vertex
-        pytest.param(lambda: Graph(4, [(1, 2), (3, 4)]), id="two_components"),
     ],
 )
 def test_distance_spheres_match_the_table(make):
     assert_spheres_match_plain_bfs(make())
+
+
+def test_graph_rejects_two_components():
+    # Graph itself is the connectivity gate, so a direct call never makes a
+    # graph whose balls stop short of every vertex
+    with pytest.raises(DisconnectedGraph, match=r"^vertices unreachable from 1: \[3, 4\]$"):
+        Graph(4, [(1, 2), (3, 4)])
 
 
 @settings(max_examples=50, deadline=None)
