@@ -11,7 +11,9 @@ anchor's neighbours, as the halves' last vertices, can close; distance
 sphere masks pick them a level at a time.
 The line-cycle search finds the isometric cycles of the line graph as
 cycles of G, with the conditions that ``edgespec.linegraph`` derives for
-them, and picks its tops with the same selector, ``_tops``, and walks
+them.  Every 4- and 5-cycle of G is one, so at k = 2 it lists them all
+from neighbour masks, each counted as one route pair, and for longer
+cycles it picks its tops with the same selector, ``_tops``, and walks
 its routes through the same loop, ``_walk``.  A step's candidates are bit
 masks of neighbours one level nearer the anchor.  Each search reads the
 selector's tests and its probes around vertices already placed in its
@@ -42,6 +44,7 @@ def _walk(
     cut: Sequence[int],
     limit: int,
     found: list[int],
+    tried: int = 0,
 ) -> None:
     """Append to ``found`` the edge masks of the cycles closed by two
     routes a and b walked down from each top (w, p, q, bits, k), k >= 2,
@@ -62,10 +65,9 @@ def _walk(
 
     A route pair tried is an a_t that passes its probes with one of b's
     candidates, above a_1 on a vertex top's first step, whether or not
-    that b_t passes.  ``limit`` caps them over the whole call and raises
-    CandidateOverflow beyond it."""
+    that b_t passes.  ``limit`` caps them over the whole call, ``tried``
+    of them spent before it, and raises CandidateOverflow beyond it."""
     nbr = [s[1] for s in spheres]
-    tried = 0
     anchor = 0
     for w, p, q, bits, k in tops:
         if w != anchor:
@@ -183,7 +185,7 @@ def _cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
     finds them; see ``isometric_cycles``."""
     spheres = distance_spheres(g)
     found: list[int] = []
-    tops = _tops(g, spheres, spheres, found)
+    tops = _tops(g, spheres, spheres, found, 2)
     _walk(tops, _step_probes, spheres, spheres, g._cut, limit, found)
     return found
 
@@ -193,10 +195,14 @@ def _tops(
     spheres: tuple[tuple[int, ...], ...],
     masks: Sequence[Sequence[int]],
     found: list[int],
+    first: int,
 ) -> Iterator[tuple[int, int, int, int, int]]:
-    """The tops (w, p, q, bits, k), k >= 2, that pass the tests at the
-    anchor's end, anchor by anchor, for either search.  Triangles need no
-    descent and go straight to ``found``.
+    """The tops (w, p, q, bits, k), k >= first, that pass the tests at the
+    anchor's end, anchor by anchor, for either search: the isometric
+    search starts at k = 2, the line search at k = 3.  At k = 2 every 4-
+    and 5-cycle is a line cycle, so the line search lists each of them
+    without a top, as one route pair (``_short_line_cycles``).  Triangles
+    need no descent and go straight to ``found``.
 
     A search's cycles of length 2k + off put the vertices at cyclic
     distance k from a vertex v in ``masks[v][k]``: the vertices at exactly
@@ -236,7 +242,7 @@ def _tops(
                 if v > u and sw[1] >> v & 1:
                     found.append(cut_w & (cut[u] | cut[v]) | cut[u] & cut[v])
         pairs = list(combinations([(spheres[y], masks[y]) for y in ys], 2))
-        for k in range(2, len(sw)):
+        for k in range(first, len(sw)):
             # a top at cyclic distance k from w; a route down from it
             # passes every level above w below k
             level = masks[w][k] & above
@@ -347,21 +353,68 @@ def line_cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
     its smallest vertex w both halves descend one level per step, and the
     top (v_k, or the edge v_k v_(k+1) when L is odd) sits at level k - 1
     or k.  A top end at level k - 1 steps along its level first, so a_1
-    and b_1 lie at level k - 1 whichever level the top is at.  ``_tops``
-    picks the tops from the anchor's end and ``_walk`` descends from
-    them, both reading the vertices at cyclic distance k in ``far``, the
-    vertices k - 1 or more away.  As k - 1 >= 1, the probes of
-    ``_line_probes`` also keep the vertices apart: a repeated vertex gives
-    one such pair a shortcut of fewer than k - 1 edges.  Triangles close
-    without a descent.  ``limit`` caps the route pairs tried, as ``_walk``
-    counts them."""
+    and b_1 lie at level k - 1 whichever level the top is at.  From k = 3
+    on, ``_tops`` picks the tops from the anchor's end and ``_walk``
+    descends from them, both reading the vertices at cyclic distance k in
+    ``far``, the vertices k - 1 or more away.  As k - 1 >= 1, the probes
+    of ``_line_probes`` also keep the vertices apart: a repeated vertex
+    gives one such pair a shortcut of fewer than k - 1 edges.  At k = 2
+    the condition only asks for distinct vertices, so every 4- and 5-cycle
+    qualifies, and ``_short_line_cycles`` lists them all from neighbour
+    masks with no top and no descent.  Triangles close without a descent.
+    ``limit`` caps the route pairs tried, as ``_walk`` counts them, and
+    each listed 4- or 5-cycle counts as one."""
     spheres = distance_spheres(g)
     # far[v][d]: mask of the vertices at distance d - 1 or more from v
     far = [tuple(accumulate(reversed(s[:1] + s), or_))[::-1] for s in spheres]
     found: list[int] = []
-    tops = _tops(g, spheres, far, found)
-    _walk(tops, _line_probes, far, spheres, g._cut, limit, found)
+    _short_line_cycles(g, spheres, limit, found)
+    tops = _tops(g, spheres, far, found, 3)
+    _walk(tops, _line_probes, far, spheres, g._cut, limit, found, len(found))
     return found
+
+
+def _short_line_cycles(
+    g: Graph, spheres: tuple[tuple[int, ...], ...], limit: int, found: list[int]
+) -> None:
+    """Append to ``found`` the edge masks of every 4-cycle w a x b and every
+    5-cycle w a u v b of G, each anchored at its smallest vertex w with a
+    and b a pair of w's neighbours: x is a common neighbour of a and b, u
+    a neighbour of a and v one of u and b, all above w, and neither u nor
+    v is a or b.  They are the line cycles at k = 2 (fact 3 in
+    ``edgespec.linegraph``), listed from neighbour masks as in Chiba and
+    Nishizeki's quadrangle listing.  Each counts as one route pair against
+    ``limit``, which raises CandidateOverflow beyond it."""
+    adj, cut = g._adj, g._cut
+    nbr = [s[1] for s in spheres]
+    for w in g.vertices:
+        above = -2 << w
+        ys = [(y, nbr[y] & above, cut[y]) for y in adj[w] if y > w]
+        cut_w = cut[w]
+        for (a, near_a, cut_a), (b, near_b, cut_b) in combinations(ys, 2):
+            cut_ab = cut_a | cut_b
+            xs = near_a & near_b
+            while xs:
+                low = xs & -xs
+                xs ^= low
+                found.append((cut_w | cut[low.bit_length() - 1]) & cut_ab)
+            at_w = cut_w & cut_ab
+            vs = near_b & ~(1 << a)
+            us = near_a & ~(1 << b)
+            while us:
+                low = us & -us
+                us ^= low
+                u = low.bit_length() - 1
+                ends = nbr[u] & vs
+                if ends:
+                    cut_u = cut[u]
+                    path = at_w | cut_a & cut_u
+                    while ends:
+                        low = ends & -ends
+                        ends ^= low
+                        found.append(path | cut[low.bit_length() - 1] & (cut_u | cut_b))
+            if len(found) > limit:
+                raise _overflow(limit)
 
 
 def cycle_order(g: Graph, cycle: EdgeSet) -> tuple[int, ...]:

@@ -110,4 +110,7 @@ def line_cycle_weights(g, limit=10**6):
 
 
 def digital_invariant_IL(g, limit=10**6):
-    return Invariant.from_weights(*line_cycle_weights(g, limit))
+    """The sorted corteges of line_cycle_weights, sorted here rather than
+    by Invariant.from_weights."""
+    xi, zeta = line_cycle_weights(g, limit)
+    return Invariant(tuple(sorted(xi)), tuple(sorted(zeta)))

@@ -1,0 +1,174 @@
+"""A catalogue of mutants, faults that the tests must catch, and its runner.
+
+Each entry changes one exact piece of text in one file under ``src/``.
+It names either the test files that must kill it, or why it is
+equivalent: a change that no output can show, such as a test that only
+prunes.  The runner copies the repository to a temporary directory per
+mutant, applies the mutant there, and runs the named test files with
+``pytest -x`` under ``python -O``, as the CI oracle step does, so the
+asserts in ``src/`` cannot kill a mutant on the tests' behalf.  A run
+that outlives ``TIMEOUT`` seconds counts as killed, but is reported
+apart; ``TIMEOUT`` times the catalogue's length stays inside the CI
+job's 30 minutes.
+
+    python tests/mutants.py
+
+The exit status is 1 when a mutant that must be killed survives, or when
+an entry's text does not occur exactly once in its file, which marks the
+catalogue as stale.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120.0
+SKIP = shutil.ignore_patterns(
+    ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", ".perfbench_work"
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    text: str
+    replacement: str
+    # test files or node ids that must kill it, or () for an equivalent one
+    kill: tuple[str, ...] = ()
+    equivalent: str = ""
+
+
+CATALOGUE = (
+    Mutant(
+        "gather_tail_past_cols",
+        "src/edgespec/graphs.py",
+        "tail = groups[top][cols:]",
+        "tail = groups[top][cols + 1:]",
+        kill=("tests/test_graphs.py",),
+    ),
+    Mutant(
+        "xi_without_alive_mask",
+        "src/edgespec/spectra.py",
+        "xi = [(r & alive).bit_count() for r in rows]",
+        "xi = [r.bit_count() for r in rows]",
+        kill=("tests/test_spectra_oracle.py",),
+    ),
+    Mutant(
+        "vertex_cortege_dropped",
+        "src/edgespec/spectra.py",
+        "return cls(tuple(sorted(edge_w)), tuple(sorted(vertex_w)))",
+        "return cls(tuple(sorted(edge_w)), ())",
+        kill=("tests/test_spectra_oracle.py",),
+    ),
+    Mutant(
+        "seen_sets_stop_at_half",
+        "src/edgespec/spectra.py",
+        "if len(weights) <= m:",
+        "if len(weights) <= m // 2:",
+        kill=("tests/test_spectra_oracle.py::test_trees_with_late_repeats_match_reference",),
+    ),
+    Mutant(
+        "vertex_top_both_orders",
+        "src/edgespec/isometric.py",
+        "ys = pool & -2 << x if first else pool",
+        "ys = pool",
+        kill=("tests/test_isometric_oracle.py",),
+    ),
+    Mutant(
+        "cut_witness_steps_two_levels",
+        "src/edgespec/engine.py",
+        "        l += 1\n",
+        "        l += 2\n",
+        kill=("tests/test_compare_oracle.py",),
+    ),
+    Mutant(
+        "brute_force_without_degree_test",
+        "src/edgespec/engine.py",
+        "if w in used or h.degree(w) != g.degree(v):",
+        "if w in used:",
+        equivalent="the degree test only prunes: an edge check rejects what it would",
+    ),
+    Mutant(
+        "line_no_pentagons",
+        "src/edgespec/isometric.py",
+        "us = near_a & ~(1 << b)",
+        "us = 0",
+        kill=("tests/test_linegraph_oracle.py",),
+    ),
+    Mutant(
+        "line_listing_not_counted",
+        "src/edgespec/isometric.py",
+        "g._cut, limit, found, len(found))",
+        "g._cut, limit, found)",
+        kill=("tests/test_isometric.py",),
+    ),
+    Mutant(
+        "line_tops_from_k2",
+        "src/edgespec/isometric.py",
+        "tops = _tops(g, spheres, far, found, 3)",
+        "tops = _tops(g, spheres, far, found, 2)",
+        kill=("tests/test_linegraph_oracle.py",),
+    ),
+    Mutant(
+        "line_pentagon_v_may_be_a",
+        "src/edgespec/isometric.py",
+        "vs = near_b & ~(1 << a)",
+        "vs = near_b",
+        kill=("tests/test_linegraph_oracle.py",),
+    ),
+)
+
+
+def stale(mutant: Mutant) -> str | None:
+    """Why the entry no longer applies, or None."""
+    count = (ROOT / mutant.file).read_text().count(mutant.text)
+    return None if count == 1 else f"text occurs {count} times in {mutant.file}"
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """(outcome, seconds) of the kill tests on a mutated copy."""
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=SKIP)
+        path = copy / mutant.file
+        path.write_text(path.read_text().replace(mutant.text, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-O", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.kill]
+        start = time.monotonic()
+        try:
+            done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timed out", time.monotonic() - start
+        seconds = time.monotonic() - start
+    # 4: usage error, such as a test file that does not exist; 5: no tests
+    if done.returncode in (4, 5):
+        return f"error (pytest exit {done.returncode})", seconds
+    return ("survived" if done.returncode == 0 else "killed"), seconds
+
+
+def main() -> int:
+    failed = False
+    for mutant in CATALOGUE:
+        why = stale(mutant)
+        if why:
+            outcome, seconds = f"stale: {why}", 0.0
+        elif not mutant.kill:
+            outcome, seconds = f"equivalent: {mutant.equivalent}", 0.0
+        else:
+            outcome, seconds = run(mutant)
+        failed |= not outcome.startswith(("killed", "timed out", "equivalent"))
+        print(f"{mutant.name:34} {outcome} ({seconds:.1f} s)", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

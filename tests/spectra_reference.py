@@ -7,7 +7,7 @@ repeat stop, so the tests confirm that it never fires.  The base tables
 come from their definitions too, without the package's tables: central
 cuts as EdgeSets, and the cycles through each edge by membership.  The
 module imports no function from edgespec, only the value types it
-compares.
+compares, and it sorts the corteges that it puts in them itself.
 """
 
 from functools import reduce
@@ -99,11 +99,17 @@ def vertex_weights(g, xi_per_level):
     return per_level, total
 
 
+def corteges(xi, zeta):
+    """The sorted edge and vertex corteges, sorted here rather than by
+    Invariant.from_weights, so that a fault there shows against this."""
+    return Invariant(tuple(sorted(xi)), tuple(sorted(zeta)))
+
+
 def invariant(kind, g, levels, truncated, level_count):
     xi, xi_total = edge_weights(g.m, levels)
     zeta, zeta_total = vertex_weights(g, xi)
-    per_level = tuple(Invariant.from_weights(x, z) for x, z in zip(xi, zeta))
-    total = Invariant.from_weights(xi_total, zeta_total)
+    per_level = tuple(corteges(x, z) for x, z in zip(xi, zeta))
+    total = corteges(xi_total, zeta_total)
     return SpectrumInvariant(kind, level_count, truncated, total, per_level)
 
 

@@ -1,5 +1,6 @@
 """Isometric cycle enumeration, and the per-edge wave labelings of isometric_reference."""
 
+from math import comb
 from random import Random
 
 import networkx as nx
@@ -253,16 +254,36 @@ def test_limit_is_the_route_pairs_tried(make, pairs, counting_closings):
         (lambda: fx.hypercube(5), 5317),
         (fx.k44, 36),
         (lambda: fx.grid(10, 10), 81),
+        (lambda: fx.k_n(6), 117),
+        (lambda: fx.k_n(7), 357),
+        (fx.octahedron, 39),
+        (fx.rook_4x4, 1568),
+        (fx.shrikhande, 1248),
     ],
-    ids=["petersen", "q4", "q5", "k44", "grid_10x10"],
+    ids=[
+        "petersen", "q4", "q5", "k44", "grid_10x10",
+        "k6", "k7", "octahedron", "rook_4x4", "shrikhande",
+    ],
 )
 def test_line_search_limit_is_the_route_pairs_tried(make, pairs):
     # the line-cycle search counts its route pairs as the isometric search
     # does, so a limit of exactly that many returns and one fewer overflows;
     # a descent from every top above the anchor, at both levels it allows,
-    # tried Petersen 74, Q4 364, Q5 5,950, K4,4 36 and grid 10x10 951,345
+    # tried Petersen 74, Q4 364, Q5 5,950, K4,4 36 and grid 10x10 951,345.
+    # Each 4- and 5-cycle is listed without a descent and counts as one pair
     g = make()
     assert sorted(line_cycle_masks(g, pairs)) == sorted(line_cycle_masks(g))
+    with pytest.raises(CandidateOverflow, match=f"^{pairs} route pairs exceed limit {pairs - 1}$"):
+        line_cycle_masks(g, pairs - 1)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_line_search_on_complete_graphs_tries_its_short_cycles(n):
+    # K_n has diameter 1, so its line cycles are its triangles and its 4-
+    # and 5-cycles, and only the last two count as route pairs
+    g = fx.k_n(n)
+    pairs = 3 * comb(n, 4) + 12 * comb(n, 5)
+    assert len(line_cycle_masks(g, pairs)) == comb(n, 3) + pairs
     with pytest.raises(CandidateOverflow, match=f"^{pairs} route pairs exceed limit {pairs - 1}$"):
         line_cycle_masks(g, pairs - 1)
 

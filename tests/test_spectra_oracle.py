@@ -135,6 +135,26 @@ def test_random_trees_match_reference(seed):
         assert_matches_reference(cut_spectrum_unchecked(t, cap), ref.base_edge_cuts(t), cap)
 
 
+@pytest.mark.parametrize("seed", [37, 41, 48])
+def test_trees_with_late_repeats_match_reference(seed):
+    # a row of each of these trees dies by repeating a value that it first
+    # held past level m // 2, so the seen-sets must take every level up to
+    # m; the cap turns a row kept alive past its death into a truncation
+    # rather than a build without end
+    t = random_tree(Random(seed))
+    base = ref.base_edge_cuts(t)
+    levels, truncated, _ = ref.build(t, base, 100)
+    assert not truncated
+    first_held = []
+    for i in range(t.m):
+        row = [level[i].bits for level in levels if level[i] is not None]
+        again = ref.gamma(EdgeSet.from_bits(t.m, row[-1]), base).bits if row else 0
+        if again in row:
+            first_held.append(row.index(again))
+    assert max(first_held) > t.m // 2
+    assert_matches_reference(cut_spectrum_unchecked(t, 100), base, 100)
+
+
 @pytest.mark.parametrize("tree", [fx.spider_tree, fx.caterpillar_tree])
 def test_fixture_trees_match_reference(tree):
     t = tree()
