@@ -5,20 +5,20 @@ measured along the cycle equals their distance in the whole graph, and
 that holds exactly when every vertex is at distance floor(L/2) from its
 antipodes: a shortcut between two vertices also shortens the way from
 one of them to its antipode beyond the other.  The enumeration anchors
-every cycle at its smallest vertex and walks both of its halves down from
-the opposite vertex or edge together, from those tops only that the
-anchor's neighbours, as the halves' last vertices, can close; distance
-sphere masks pick them a level at a time.
+every cycle at its smallest vertex.
 The line-cycle search finds the isometric cycles of the line graph as
 cycles of G, with the conditions that ``edgespec.linegraph`` derives for
-them.  Every 4- and 5-cycle of G is one, so at k = 2 it lists them all
-from neighbour masks, each counted as one route pair, and for longer
-cycles it picks its tops with the same selector, ``_tops``, and walks
-its routes through the same loop, ``_walk``.  A step's candidates are bit
-masks of neighbours one level nearer the anchor.  Each search reads the
-selector's tests and its probes around vertices already placed in its
-own masks: the vertices at exactly the cycle distance for isometric
-cycles, at k - 1 or more for line cycles of length 2k or 2k + 1.
+them.  Both searches follow one rule.  Their cycles of up to 5 edges are
+listed from neighbour masks, ``_short_cycles``, each 4- and 5-cycle
+counted as one route pair.  Their longer cycles are walked down from the
+opposite vertex or edge, the top at k >= 3, in both halves together:
+``_tops`` picks the tops that the anchor's neighbours, as the halves'
+last vertices, can close, and ``_walk`` walks the routes.  A step's
+candidates are bit masks of neighbours one level nearer the anchor.  A
+search is its masks and its probe table, ``_search``: each part reads
+its tests around vertices already placed in the search's own masks, the
+vertices at exactly the cycle distance for isometric cycles, at k - 1 or
+more for line cycles of length 2k or 2k + 1.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import CandidateOverflow, NotACycle
 from .graphs import EdgeSet, Graph, distance_spheres
 
+# masks[v][d]: a bit mask of vertices for each vertex v and distance d
+Masks = Sequence[Sequence[int]]
+# a probe table: (on_a, on_b, d, dxy) for each step t of a walk
+Probes = tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]
+
 
 def _overflow(limit: int) -> CandidateOverflow:
     return CandidateOverflow(f"{limit + 1} route pairs exceed limit {limit}")
@@ -38,16 +43,16 @@ def _overflow(limit: int) -> CandidateOverflow:
 
 def _walk(
     tops: Iterable[tuple[int, int, int, int, int]],
-    probes: Callable[[int, int], Sequence[tuple[tuple[int, ...], tuple[int, ...], int, int]]],
-    masks: Sequence[Sequence[int]],
-    spheres: Sequence[Sequence[int]],
+    probes: Callable[[int, int], Probes],
+    masks: Masks,
+    spheres: Masks,
     cut: Sequence[int],
     limit: int,
     found: list[int],
-    tried: int = 0,
+    tried: int,
 ) -> None:
     """Append to ``found`` the edge masks of the cycles closed by two
-    routes a and b walked down from each top (w, p, q, bits, k), k >= 2,
+    routes a and b walked down from each top (w, p, q, bits, k), k >= 3,
     to its anchor w, through vertices above w.  The top is the vertex
     p = q, or the edge pq whose mask is ``bits``, and a_t and b_t lie at
     level k - t from w, so the pair (a_(k-1), b_(k-1)) closes at w.
@@ -118,7 +123,7 @@ def _walk(
 
 
 @cache
-def _step_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
+def _step_probes(k: int, off: int) -> Probes:
     """``_walk`` probes for each step t = 1..k-1 of an isometric cycle of
     length L = 2k + off, read in the sphere masks, which hold the vertices
     at exactly distance d; entry 0 is padding.
@@ -144,16 +149,18 @@ def _step_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
 def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     """All isometric cycles, ordered lexicographically by edge ids.
 
-    Every isometric cycle has one smallest vertex w, its anchor.  Relative
-    to w it has one top at distance k from w: the vertex opposite w when
-    its length is 2k (off = 0), the edge opposite w when its length is
-    2k+1 (off = 1).  Its halves are geodesics from the top down to w, so
-    for each anchor w and each top ``_walk`` descends two routes a and b
-    one distance level per step.  A joined pair of routes is an isometric
-    cycle exactly when every cross pair (a_i, b_j) sits at its distance
-    along the cycle, min(i+j+off, L-i-j-off), and the probes of
-    ``_step_probes``, read in the sphere masks (the vertices at exactly
-    distance d, ``distance_spheres``), settle all of them:
+    Every isometric cycle has one smallest vertex w, its anchor.  A cycle
+    of up to 5 edges is isometric exactly when it has no chord, and
+    ``_short_cycles`` lists those from neighbour masks.  A longer one, of
+    length 2k + off with k >= 3, has one top at distance k from w: the
+    vertex opposite w when off = 0, the edge opposite w when off = 1.  Its
+    halves are geodesics from the top down to w, so for each anchor w and
+    each top ``_walk`` descends two routes a and b one distance level per
+    step.  A joined pair of routes is an isometric cycle exactly when
+    every cross pair (a_i, b_j) sits at its distance along the cycle,
+    min(i+j+off, L-i-j-off), and the probes of ``_step_probes``, read in
+    the sphere masks (the vertices at exactly distance d,
+    ``distance_spheres``), settle all of them:
 
     * while the cycle distance still grows, d(a_t, b_(t-1)) = 2t-1+off
       makes a_t..top..b_(t-1) a geodesic, so every pair on it is right,
@@ -172,11 +179,11 @@ def isometric_cycles(g: Graph, limit: int = 10**6) -> tuple[EdgeSet, ...]:
     lie at distance k - 1 from the top's nearer ends, and at distance k
     from their antipodes among the top's ends and the first vertices
     below it.  Each test is necessary for an isometric cycle through the
-    top, so the output is that of a descent from every top.  Triangles
-    close without a descent.
+    top, so the output is that of a descent from every top.
 
-    ``limit`` caps the route pairs tried, as ``_walk`` counts them; a
-    triangle and the step that closes a cycle at w are not counted."""
+    ``limit`` caps the route pairs tried, as ``_walk`` counts them, and
+    each listed 4- or 5-cycle counts as one; a triangle and the step that
+    closes a cycle at w are not counted."""
     return in_id_order(g.m, _cycle_masks(g, limit))
 
 
@@ -184,25 +191,89 @@ def _cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
     """The edge masks of the isometric cycles, in the order the search
     finds them; see ``isometric_cycles``."""
     spheres = distance_spheres(g)
+    return _search(g, spheres, spheres, _step_probes, limit)
+
+
+def _search(
+    g: Graph, spheres: Masks, masks: Masks, probes: Callable[[int, int], Probes], limit: int
+) -> list[int]:
+    """The edge masks of a search's cycles: those of up to 5 edges from
+    ``_short_cycles``, then those walked down from the tops at k >= 3, all
+    read in ``masks`` and the walk's steps in ``probes``."""
     found: list[int] = []
-    tops = _tops(g, spheres, spheres, found, 2)
-    _walk(tops, _step_probes, spheres, spheres, g._cut, limit, found)
+    tried = _short_cycles(g, spheres, masks, limit, found)
+    _walk(_tops(g, spheres, masks), probes, masks, spheres, g._cut, limit, found, tried)
     return found
 
 
-def _tops(
-    g: Graph,
-    spheres: tuple[tuple[int, ...], ...],
-    masks: Sequence[Sequence[int]],
-    found: list[int],
-    first: int,
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """The tops (w, p, q, bits, k), k >= first, that pass the tests at the
-    anchor's end, anchor by anchor, for either search: the isometric
-    search starts at k = 2, the line search at k = 3.  At k = 2 every 4-
-    and 5-cycle is a line cycle, so the line search lists each of them
-    without a top, as one route pair (``_short_line_cycles``).  Triangles
-    need no descent and go straight to ``found``.
+def _short_cycles(g: Graph, spheres: Masks, masks: Masks, limit: int, found: list[int]) -> int:
+    """Append to ``found`` the edge masks of a search's cycles of up to 5
+    edges, and return the number of 4- and 5-cycles among them.  Each is
+    anchored at its smallest vertex w, with a and b a pair of w's
+    neighbours above it: the triangle w a b when b is a neighbour of a, and
+    the 4-cycles w a x b and 5-cycles w a u v b, all above w, whose pairs
+    at cyclic distance 2 lie in each other's ``masks[·][2]``: (w, x) and
+    (a, b) on a 4-cycle, (w, u), (w, v), (a, v), (a, b) and (u, b) on a
+    5-cycle.  A vertex is never in its own mask at 2, so u is not b and v
+    is not a.  With the sphere masks these are the chordless 4- and
+    5-cycles, the isometric ones; with the line search's masks, which at 2
+    hold every vertex but the one itself, they are every 4- and 5-cycle,
+    the line cycles at k = 2 (fact 3 in ``edgespec.linegraph``).  Every
+    triangle is both.
+
+    They are listed from neighbour masks, as in Chiba and Nishizeki's
+    quadrangle listing.  Each 4- and 5-cycle counts as one route pair
+    against ``limit``, which raises CandidateOverflow beyond it."""
+    adj, cut = g._adj, g._cut
+    nbr = [s[1] for s in spheres]
+    tried = 0
+    for w in g.vertices:
+        ys = [y for y in adj[w] if y > w]
+        if len(ys) < 2:
+            continue
+        # x, u and v lie above w and in its mask at 2
+        two = masks[w][2] & -2 << w
+        cut_w = cut[w]
+        for a, b in combinations(ys, 2):
+            cut_a, cut_b = cut[a], cut[b]
+            cut_ab = cut_a | cut_b
+            if nbr[a] >> b & 1:
+                found.append(cut_w & cut_ab | cut_a & cut_b)
+            far_a = masks[a][2]
+            if not far_a >> b & 1:
+                continue
+            listed = len(found)
+            near_a, near_b = nbr[a] & two, nbr[b] & two
+            xs = near_a & near_b
+            while xs:
+                low = xs & -xs
+                xs ^= low
+                found.append((cut_w | cut[low.bit_length() - 1]) & cut_ab)
+            at_w = cut_w & cut_ab
+            vs = near_b & far_a
+            us = near_a & masks[b][2]
+            while us:
+                low = us & -us
+                us ^= low
+                u = low.bit_length() - 1
+                tails = nbr[u] & vs
+                if tails:
+                    cut_u = cut[u]
+                    path = at_w | cut_a & cut_u
+                    while tails:
+                        low = tails & -tails
+                        tails ^= low
+                        found.append(path | cut[low.bit_length() - 1] & (cut_u | cut_b))
+            tried += len(found) - listed
+            if tried > limit:
+                raise _overflow(limit)
+    return tried
+
+
+def _tops(g: Graph, spheres: Masks, masks: Masks) -> Iterator[tuple[int, int, int, int, int]]:
+    """The tops (w, p, q, bits, k), k >= 3, that pass the tests at the
+    anchor's end, anchor by anchor, for either search; the cycles of up to
+    5 edges are listed without a top (``_short_cycles``).
 
     A search's cycles of length 2k + off put the vertices at cyclic
     distance k from a vertex v in ``masks[v][k]``: the vertices at exactly
@@ -226,26 +297,22 @@ def _tops(
     a time, the bit masks give where a top, a_1 and b_1 can lie; the a_1
     and b_1 sets are spread to their neighbours, and a top's a end needs
     a neighbour among a_1, its b end among b_1.  A top that fails closes
-    no cycle of the search.  At k = 1 every edge uv between two neighbours
-    of w above it closes the triangle w u v, a line cycle as well."""
+    no cycle of the search.  A route down from a top at cyclic distance k
+    passes a vertex above w in each of w's masks below k, so the first of
+    them with none ends the anchor's tops, and an anchor with none in its
+    mask at 2 or at 3 has no top."""
     adj, cut = g._adj, g._cut
     for w in g.vertices:
         ys = [y for y in adj[w] if y > w]
         if len(ys) < 2:
             continue
-        sw = spheres[w]
+        sw, mw = spheres[w], masks[w]
         above = -2 << w
-        cut_w = cut[w]
-        # triangles w u v
-        for u in ys:
-            for v in adj[u]:
-                if v > u and sw[1] >> v & 1:
-                    found.append(cut_w & (cut[u] | cut[v]) | cut[u] & cut[v])
+        if not (mw[2] & above and mw[3] & above):
+            continue
         pairs = list(combinations([(spheres[y], masks[y]) for y in ys], 2))
-        for k in range(first, len(sw)):
-            # a top at cyclic distance k from w; a route down from it
-            # passes every level above w below k
-            level = masks[w][k] & above
+        for k in range(3, len(sw)):
+            level = mw[k] & above
             if not level:
                 break
             inner = sw[k - 1] & above
@@ -309,7 +376,7 @@ def in_id_order(m: int, masks: Iterable[int]) -> tuple[EdgeSet, ...]:
 
 
 @cache
-def _line_probes(k: int, off: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
+def _line_probes(k: int, off: int) -> Probes:
     """``_walk`` probes for each step t = 1..k-1 of a line cycle of length
     L = 2k + off >= 4, read in masks of the vertices d - 1 or more away;
     entry 0 is padding.
@@ -353,68 +420,22 @@ def line_cycle_masks(g: Graph, limit: int = 10**6) -> list[int]:
     its smallest vertex w both halves descend one level per step, and the
     top (v_k, or the edge v_k v_(k+1) when L is odd) sits at level k - 1
     or k.  A top end at level k - 1 steps along its level first, so a_1
-    and b_1 lie at level k - 1 whichever level the top is at.  From k = 3
-    on, ``_tops`` picks the tops from the anchor's end and ``_walk``
-    descends from them, both reading the vertices at cyclic distance k in
-    ``far``, the vertices k - 1 or more away.  As k - 1 >= 1, the probes
-    of ``_line_probes`` also keep the vertices apart: a repeated vertex
-    gives one such pair a shortcut of fewer than k - 1 edges.  At k = 2
-    the condition only asks for distinct vertices, so every 4- and 5-cycle
-    qualifies, and ``_short_line_cycles`` lists them all from neighbour
-    masks with no top and no descent.  Triangles close without a descent.
+    and b_1 lie at level k - 1 whichever level the top is at.  As for the
+    isometric search, ``_search`` lists the cycles of up to 5 edges from
+    neighbour masks (``_short_cycles``), and from k = 3 on ``_tops`` picks
+    the tops from the anchor's end and ``_walk`` descends from them, all
+    reading the vertices at cyclic distance k in ``far``, the vertices
+    k - 1 or more away.  At k = 2 the condition only asks for distinct
+    vertices, and ``far`` at 2 holds every vertex but the one itself, so
+    every 4- and 5-cycle is listed.  As k - 1 >= 2 from k = 3 on, the
+    probes of ``_line_probes`` also keep the vertices apart: a repeated
+    vertex gives one such pair a shortcut of fewer than k - 1 edges.
     ``limit`` caps the route pairs tried, as ``_walk`` counts them, and
     each listed 4- or 5-cycle counts as one."""
     spheres = distance_spheres(g)
     # far[v][d]: mask of the vertices at distance d - 1 or more from v
     far = [tuple(accumulate(reversed(s[:1] + s), or_))[::-1] for s in spheres]
-    found: list[int] = []
-    _short_line_cycles(g, spheres, limit, found)
-    tops = _tops(g, spheres, far, found, 3)
-    _walk(tops, _line_probes, far, spheres, g._cut, limit, found, len(found))
-    return found
-
-
-def _short_line_cycles(
-    g: Graph, spheres: tuple[tuple[int, ...], ...], limit: int, found: list[int]
-) -> None:
-    """Append to ``found`` the edge masks of every 4-cycle w a x b and every
-    5-cycle w a u v b of G, each anchored at its smallest vertex w with a
-    and b a pair of w's neighbours: x is a common neighbour of a and b, u
-    a neighbour of a and v one of u and b, all above w, and neither u nor
-    v is a or b.  They are the line cycles at k = 2 (fact 3 in
-    ``edgespec.linegraph``), listed from neighbour masks as in Chiba and
-    Nishizeki's quadrangle listing.  Each counts as one route pair against
-    ``limit``, which raises CandidateOverflow beyond it."""
-    adj, cut = g._adj, g._cut
-    nbr = [s[1] for s in spheres]
-    for w in g.vertices:
-        above = -2 << w
-        ys = [(y, nbr[y] & above, cut[y]) for y in adj[w] if y > w]
-        cut_w = cut[w]
-        for (a, near_a, cut_a), (b, near_b, cut_b) in combinations(ys, 2):
-            cut_ab = cut_a | cut_b
-            xs = near_a & near_b
-            while xs:
-                low = xs & -xs
-                xs ^= low
-                found.append((cut_w | cut[low.bit_length() - 1]) & cut_ab)
-            at_w = cut_w & cut_ab
-            vs = near_b & ~(1 << a)
-            us = near_a & ~(1 << b)
-            while us:
-                low = us & -us
-                us ^= low
-                u = low.bit_length() - 1
-                ends = nbr[u] & vs
-                if ends:
-                    cut_u = cut[u]
-                    path = at_w | cut_a & cut_u
-                    while ends:
-                        low = ends & -ends
-                        ends ^= low
-                        found.append(path | cut[low.bit_length() - 1] & (cut_u | cut_b))
-            if len(found) > limit:
-                raise _overflow(limit)
+    return _search(g, spheres, far, _line_probes, limit)
 
 
 def cycle_order(g: Graph, cycle: EdgeSet) -> tuple[int, ...]:
@@ -445,12 +466,7 @@ def cycle_order(g: Graph, cycle: EdgeSet) -> tuple[int, ...]:
 
 def cycle_vertices(g: Graph, cycle: EdgeSet) -> tuple[int, ...]:
     """Sorted vertex set of a cycle given as an edge set."""
-    verts: set[int] = set()
-    for e in cycle:
-        a, b = g.edge_endpoints(e)
-        verts.add(a)
-        verts.add(b)
-    return tuple(sorted(verts))
+    return tuple(sorted({v for e in cycle for v in g.edge_endpoints(e)}))
 
 
 def is_isometric(g: Graph, cycle: EdgeSet) -> bool:

@@ -69,7 +69,9 @@ def build(g, base, level_cap):
             break
         levels.append(tuple(cells))
         sig = tuple(0 if c is None else c.bits for c in cells)
-        assert sig not in signatures, "a whole level repeated an earlier one"
+        # raised, not asserted, so that the check holds under python -O too
+        if sig in signatures:
+            raise AssertionError("a whole level repeated an earlier one")
         signatures.add(sig)
     level_count = sum(1 for level in levels if any(c is not None for c in level))
     return tuple(levels), truncated, level_count

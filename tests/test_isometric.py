@@ -201,8 +201,8 @@ class TestIsIsometric:
 
 
 def test_candidate_overflow():
-    # from anchor 1 alone, the tops 2, 3 and 4 each try six pairs of common
-    # neighbors at their first step
+    # anchor 1 alone lists 18 4-cycles, three through each pair of its
+    # neighbours, and each counts as one route pair
     with pytest.raises(CandidateOverflow, match="exceed limit 10"):
         isometric_cycles(fx.k44(), limit=10)
 
@@ -230,14 +230,22 @@ def test_limit_overflows_or_gives_the_whole_result(name):
         (lambda: fx.hypercube(4), 319, 399),
         (lambda: fx.hypercube(5), 4932, 5604),
         (lambda: fx.grid(10, 10), 81, 162),
+        (fx.octahedron, 3, 14),
+        (fx.shrikhande, 108, 248),
+        # 9 vertices, 10 edges: a triangle and an 8-cycle.  Anchor 4 has
+        # no vertex above it at distance 2 and two at distance 3, so it
+        # yields no tops: a route down from them would leave the vertices
+        # above 4
+        (lambda: fx.random_nonseparable(Random(1181)), 3, 5),
     ],
-    ids=["petersen", "q4", "q5", "grid_10x10"],
+    ids=["petersen", "q4", "q5", "grid_10x10", "octahedron", "shrikhande", "random_1181"],
 )
 def test_limit_is_the_route_pairs_tried(make, pairs, counting_closings):
     # the search tries exactly `pairs` candidate route pairs, so a limit of
-    # that many returns and one fewer overflows; a count that also took
-    # each triangle and each closing step to the anchor as one pair, one
-    # per cycle found, reads `counting_closings`
+    # that many returns and one fewer overflows; each listed 4- and 5-cycle
+    # counts as one pair.  A count that also took each triangle and each
+    # closing step to the anchor as one pair, one per cycle found, reads
+    # `counting_closings`
     g = make()
     whole = isometric_cycles(g)
     assert pairs + len(whole) == counting_closings
