@@ -73,9 +73,30 @@ CATALOGUE = (
     Mutant(
         "seen_sets_stop_at_half",
         "src/edgespec/spectra.py",
-        "if len(weights) <= m:",
-        "if len(weights) <= m // 2:",
+        "if level <= m:",
+        "if level <= m // 2:",
         kill=("tests/test_spectra_oracle.py::test_trees_with_late_repeats_match_reference",),
+    ),
+    Mutant(
+        "block_alive_lane_late",
+        "src/edgespec/spectra.py",
+        "alive ^= ends.get(j, 0)",
+        "alive ^= ends.get(j - 1, 0)",
+        kill=("tests/test_spectra_oracle.py",),
+    ),
+    Mutant(
+        "block_popcount_without_fold_32",
+        "src/edgespec/spectra.py",
+        "x += x >> 32",
+        "x += 0",
+        kill=("tests/test_spectra_oracle.py",),
+    ),
+    Mutant(
+        "block_jump_half_power",
+        "src/edgespec/spectra.py",
+        "recent[_BLOCK - m]",
+        "recent[_BLOCK // 2 - m]",
+        kill=("tests/test_spectra_oracle.py",),
     ),
     Mutant(
         "vertex_top_both_orders",

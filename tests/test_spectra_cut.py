@@ -105,6 +105,17 @@ class TestWorkedExample:
         with pytest.raises(VertexOutOfRange, match=r"level 4 outside 0\.\.3"):
             spec.cell(len(spec.rows), 1)
 
+    def test_views_of_a_spectrum_without_rows_raise_a_typed_error(self):
+        # the engine's spectra keep only their weights, so no level lies
+        # in their table
+        g = fx.g_6v11e()
+        spec = spectra.Spectrum("cut", g, g._cut[1:], None)
+        spec.extend(None)
+        assert spec.rows is None and spec.level_count == 4
+        for view in (lambda: spec.levels, lambda: spec.cell(0, 1), lambda: spec.row(1)):
+            with pytest.raises(VertexOutOfRange, match="keeps no rows"):
+                view()
+
     def test_edge_weights(self):
         xi = spectrum_edge_weights(build_cut_spectrum(fx.g_6v11e()))
         assert xi.per_level == fx.G_6V11E_CUT_XI

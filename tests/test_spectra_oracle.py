@@ -620,3 +620,148 @@ def test_held_values_stop_growing_after_level_m(n, seed):
     assert builder._live
     # zero and one distinct value for each of the levels 0..m
     assert all(len(held) == g.m + 2 for _, held in builder._live)
+
+
+# Past level m + _BLOCK a spectrum of at most _LANE edges steps _BLOCK
+# levels at once, through the rows of M^_BLOCK on packed rows of one
+# 64-bit lane a value; it finds each live row's death lane before it
+# weighs the block, and weighs it lane by lane.  A wrapper of
+# spectra._blocks counts the levels each spectrum weighed that way, so
+# that every case below is known to reach the block path, or not to.
+
+BLOCK = spectra._BLOCK
+
+
+@pytest.fixture
+def block_levels(monkeypatch):
+    """Levels weighed a block at a time, one count per spectrum that got
+    to its blocks, for the spectra built after the fixture is made."""
+    real, counts = spectra._blocks, []
+
+    def counted(*args):
+        counts.append(0)
+        for level in real(*args):
+            counts[-1] += 1
+            yield level
+
+    monkeypatch.setattr(spectra, "_blocks", counted)
+    return counts
+
+
+def assert_rows_are_gamma_steps(spec, base):
+    # every kept row, dead or alive, is gamma of its row one level up
+    m = spec.graph.m
+    for prev, nxt in zip(spec.rows, spec.rows[1:]):
+        for r, r_next in zip(prev, nxt):
+            assert ref.gamma(EdgeSet.from_bits(m, r), base).bits == r_next
+
+
+def assert_stepwise_matches_whole(build):
+    # extend(l + 1) one level at a time, as compare's lockstep does,
+    # against one extend(None), with and without the rows kept
+    whole = build(True)
+    whole.extend(None)
+    for keep in (True, False):
+        stepped = build(keep)
+        for l in range(2, len(whole.weights) + 2):
+            stepped.extend(l)
+        assert stepped.weights == whole.weights
+        assert stepped.alive == whole.alive
+        assert stepped.rows == (whole.rows if keep else None)
+        assert (stepped.truncated, stepped.level_count) == (whole.truncated, whole.level_count)
+
+
+def check_block_path(g, cap, unchecked=False):
+    base = ref.base_edge_cuts(g)
+
+    def build(keep):
+        return spectra.Spectrum("cut", g, g._cut[1:], cap, keep)
+
+    spec = (cut_spectrum_unchecked if unchecked else build_cut_spectrum)(g, cap)
+    assert_matches_reference(spec, base, cap)
+    assert_rows_are_gamma_steps(spec, base)
+    assert_stepwise_matches_whole(build)
+    return spec
+
+
+DEEP_TREES = {"path_m12": (13, 126), "path_m18": (19, 1022)}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TREES))
+def test_deep_paths_match_reference(block_levels, name):
+    n, levels = DEEP_TREES[name]
+    g = fx.path(n)
+    spec = check_block_path(g, None, unchecked=True)
+    assert len(spec.weights) == levels
+    assert block_levels and block_levels[0] == levels - g.m - BLOCK
+
+
+def test_bipyramid_ends_mid_block(block_levels):
+    g = fx.bipyramid(13)
+    spec = check_block_path(g, None)
+    # 126 levels: the first block holds levels 103..166
+    assert (len(spec.weights), g.m + BLOCK) == (126, 103)
+    assert block_levels[0] == 126 - 103
+
+
+def test_cubic_ends_mid_block(block_levels):
+    g = fx.random_cubic(Random(6), 20)
+    spec = check_block_path(g, None)
+    assert len(spec.weights) == 155
+    assert block_levels[0] == 155 - g.m - BLOCK
+
+
+def test_cubic_row_dies_inside_a_block(block_levels):
+    g = fx.random_cubic(Random(4), 20)
+    spec = check_block_path(g, None)
+    start = g.m + BLOCK
+    # a row dies at level 127, lane 33 of the block from level 94, and
+    # the rest at level 128
+    assert (len(spec.weights), start) == (128, 94)
+    assert spec.alive[127] != spec.alive[126] and spec.alive[127]
+    assert block_levels[0] == 128 - start
+
+
+# the path of 18 edges runs 1,022 levels, its blocks from level 82 on
+@pytest.mark.parametrize("cap", [82, 146, 156, 210], ids=["at_start", "on_edge", "mid", "mid_2"])
+def test_caps_on_and_inside_blocks_match_reference(block_levels, cap):
+    g = fx.path(19)
+    spec = check_block_path(g, cap, unchecked=True)
+    assert spec.truncated and len(spec.weights) == cap
+    assert set(block_levels) == ({cap - 82} if cap > 82 else set())
+
+
+# cycles with chords of m edges whose cut spectra take blocks, as
+# cycle_with_chords(n, m, seed)
+CHORDED = {63: (30, 63, 5), 64: (30, 64, 0), 65: (62, 65, 0)}
+
+
+# a row of up to 64 edges fits one lane; one of 65 keeps the factor step
+@pytest.mark.parametrize("m", [63, 64, 65])
+@pytest.mark.parametrize("blocks", [2, 3], ids=["mid", "on_edge"])
+def test_lane_boundary_edge_counts_match_reference(block_levels, m, blocks):
+    g = cycle_with_chords(*CHORDED[m])
+    assert g.m == m
+    cap = m + blocks * BLOCK + (9 if blocks == 2 else 0)
+    spec = check_block_path(g, cap)
+    assert spec.truncated
+    assert set(block_levels) == ({cap - m - BLOCK} if m <= spectra._LANE else set())
+
+
+def test_rows_die_inside_a_block_and_blocks_go_on(block_levels):
+    g = cycle_with_chords(*CHORDED[63])
+    spec = check_block_path(g, None)
+    # a row dies at level 180, inside the block of levels 127..190, and
+    # the spectrum ends at level 360, inside its fourth block
+    assert len(spec.weights) == 360
+    assert spec.alive[180] != spec.alive[179] and spec.alive[180]
+    assert block_levels[0] == 360 - 127
+
+
+def test_rows_wider_than_a_lane_take_no_block(block_levels):
+    # 96 edges: a row takes more than one 64-bit lane
+    g = fx.random_cubic(Random(64002), 64)
+    spec = spectra._cut_builder(g, 500)
+    spec.extend(None)
+    assert len(spec.weights) == 500
+    assert block_levels == []
