@@ -73,15 +73,16 @@ first m + K levels keep the per-level loop: there the sets still grow,
 and there the compare cascade's lockstep usually stops, where a block
 would weigh levels that no one reads.
 
-The level loop is resumable, and the only place a level is weighed: a
-Spectrum records each level's (xi, zeta) as it closes the level, through
-_level_weights one level at a time or through _blocks a block at a
-time.  Whether it keeps every level's rows is fixed when it is made:
-the public build functions keep them, and the engine's spectra keep only
-the last level's rows, or the last block's, all the next step needs,
-since a deep spectrum's rows outweigh its weights and per-level
-invariants together.  The engine reads the recorded weights; its compare
-cascade stops at the first level that differs.
+The level loop is one generator, _levels, and the only place a level is
+weighed: it yields each level's (xi, zeta), alive mask and rows, through
+_level_weights one level at a time and then from _blocks a block at a
+time.  A Spectrum draws from it only the levels asked for.  Whether it
+keeps every level's rows is fixed when it is made: the public build
+functions keep them, and the engine's spectra keep none, the generator
+holding only the rows its next step needs, since a deep spectrum's rows
+outweigh its weights and per-level invariants together.  The engine
+reads the recorded weights; its compare cascade stops at the first level
+that differs, and builds no level past it.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count
 from operator import xor
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -177,33 +179,33 @@ def _factor_step(m: int, slots: Sequence[Sequence[int]]) -> Callable[[Sequence[i
 
 
 class Spectrum:
-    """Iterated gamma table over a base of per-edge summands: the level
-    loop of one spectrum, resumable, with each level's weights.
+    """Iterated gamma table over a base of per-edge summands: the levels
+    of one spectrum drawn from its level loop, with each level's weights.
 
     The spectrum takes edge masks of the factor W and appends their ring
     sum; the columns attribute holds all of W's columns, and base the rows
     of M = W·Wᵀ, symmetric with an empty diagonal (see the module
-    docstring).  The level step is built from the same columns, on the
-    first step past the base level.
+    docstring); the level loop steps through the same columns.
 
     weights[l] is level l's (xi, zeta), and bit e - 1 of alive[l] is set
     while row e lives at level l.  A spectrum made with keep_rows keeps
     every level's rows, rows[l][e - 1] being row e of M^(l+1); levels,
     cell and row read them and show dead rows as None.  Otherwise rows is
-    None, the spectrum keeps only the rows its next step needs, and the
+    None, only the loop holds the rows its next step needs, and the
     views raise VertexOutOfRange, as no level lies in the table.
 
-    extend(until) runs the loop until `until` levels exist (every level
-    for None), the level cap is reached or every row is dead, and keeps
-    the loop's state for the next call.  Each live row's set of held
-    values grows through level m and is only read after that, when every
-    row runs purely periodically (see the module docstring), so it never
-    holds more than m + 2 values.  Past level m + _BLOCK a spectrum of
-    at most _LANE edges steps and weighs a block of _BLOCK levels at
-    once; extend then hands out the block's levels one by one, so a call
-    that stops inside a block leaves the rest for the next call, and the
-    levels match the factor step's exactly.  Reaching the cap with rows
-    still alive sets truncated.
+    The level loop is the generator _levels, held in _levels while a
+    level may follow: it is None from the start when no base row is
+    alive, and again once the spectrum has ended or reached its cap.
+    extend(until) draws levels until `until` levels exist (every level
+    for None), the level cap is reached or every row is dead.  Each live
+    row's set of held values grows through level m and is only read after
+    that, when every row runs purely periodically (see the module
+    docstring), so it never holds more than m + 2 values.  Past level
+    m + _BLOCK a spectrum of at most _LANE edges weighs a block of _BLOCK
+    levels at once, and the loop yields them one by one, so a call that
+    stops inside a block leaves the rest for the next call.  Reaching the
+    cap with rows still alive sets truncated.
     """
 
     def __init__(
@@ -228,89 +230,36 @@ class Spectrum:
         self.base = matrix = tuple(rows)
         self.kind = kind
         self.graph = g
-        self._mask = alive = sum(1 << i for i, r in enumerate(matrix) if r)
+        alive = sum(1 << i for i, r in enumerate(matrix) if r)
         self.alive = [alive]
         self.weights = [_level_weights(g, matrix, alive)]
         self.rows = [matrix] if keep_rows else None
-        # a row dies on reaching zero or any value it has held before; live
-        # pairs each live row's edge id with zero and the values it has
-        # held, through level m
-        self._live = [(e, {0, r}) for e, r in enumerate(matrix, start=1) if r]
         self.truncated = False
         self._cap = level_cap
-        self._step = None
-        self._padded = [0, *matrix]
-        # the rows of levels m - 1 to m + _BLOCK - 1, which the first
-        # block is made from, then the blocks' levels
-        self._recent: list[tuple[int, ...]] = []
-        self._blocks: Iterator[tuple[Weights, int, tuple[int, ...] | None]] | None = None
+        # the level loop from level 1 on, or None once no level follows
+        self._levels = _levels(g, self.columns, matrix, alive, keep_rows) if alive else None
 
     @property
     def level_count(self) -> int:
         return sum(1 for mask in self.alive if mask)
 
     def extend(self, until: int | None) -> None:
-        weights, masks, kept, live = self.weights, self.alive, self.rows, self._live
-        alive, step, padded, cap = self._mask, self._step, self._padded, self._cap
-        blocks, recent = self._blocks, self._recent
-        g = self.graph
-        m = g.m
-        # a row of more than _LANE bits takes no block
-        first_block = m + _BLOCK if m <= _LANE else -1
-        while alive:
+        levels, cap = self._levels, self._cap
+        weights, masks, kept = self.weights, self.alive, self.rows
+        while levels is not None:
             if cap is not None and len(weights) >= cap:
                 self.truncated = True
-                break
-            if until is not None and len(weights) >= until:
-                break
-            if blocks is not None:
-                closed = next(blocks, None)
-                if closed is None:
-                    alive = 0
-                    break
-                w, alive, rows = closed
-            else:
-                level = len(weights)
-                if step is None:
-                    step = _factor_step(m, [bit_ids(c) for c in self.columns])
-                    # the factor must reproduce the base: M·I = M
-                    assert step((0, *(1 << i for i in range(m)))) == padded
-                if level == first_block:
-                    blocks = _blocks(g, step, padded, recent, live, alive, kept is not None)
-                    # the block iterator holds the recent rows until it packs them
-                    recent = []
-                    continue
-                padded = step(padded)
-                dead = 0
-                if level <= m:
-                    for e, seen in live:
-                        r = padded[e]
-                        if r in seen:
-                            dead |= 1 << (e - 1)
-                        else:
-                            seen.add(r)
-                else:
-                    # past level m every row repeats a value it held by then
-                    for e, seen in live:
-                        if padded[e] in seen:
-                            dead |= 1 << (e - 1)
-                if dead:
-                    alive ^= dead
-                    if not alive:
-                        break
-                    live = [(e, seen) for e, seen in live if (alive >> (e - 1)) & 1]
-                rows = tuple(padded[1:])
-                if m - 1 <= level < first_block:
-                    recent.append(rows)
-                w = _level_weights(g, rows, alive)
-            weights.append(w)
-            masks.append(alive)
-            if kept is not None:
-                kept.append(rows)
-        self._mask, self._step, self._padded, self._live = alive, step, padded, live
-        self._blocks = blocks
-        # a spectrum that makes no further level needs no recent rows
-        self._recent = recent if alive and not self.truncated else []
+            elif until is not None and len(weights) >= until:
+                return
+            elif (level := next(levels, None)) is not None:
+                w, alive, rows = level
+                weights.append(w)
+                masks.append(alive)
+                if kept is not None:
+                    kept.append(rows)
+                continue
+            # the cap is reached or every row is dead: no level follows
+            self._levels = levels = None
 
     def _table(self) -> list[tuple[int, ...]]:
         """The kept rows of every level, which the views read."""
@@ -454,7 +403,8 @@ def _blocks(
     # levels on; entry e of packed holds row e at each level of a block
     jump = _gather_pass([(), *map(bit_ids, recent[_BLOCK - m])], xor)
     packed = jump([0, *map(_pack, zip(*recent[1:]))])
-    del recent
+    # the caller's frame holds the same list, so empty it
+    recent.clear()
     # lane 0 of the first block is the level after the last: one factor step
     assert [x & (1 << _LANE) - 1 for x in packed] == step(padded)
     ones = ((1 << _LANE * _BLOCK) - 1) // ((1 << _LANE) - 1)
@@ -506,6 +456,56 @@ def _blocks(
         if len(masks) < _BLOCK:
             return
         packed = jump(packed)
+
+
+def _levels(
+    g: Graph, columns: Sequence[int], base: tuple[int, ...], alive: int, keep_rows: bool
+) -> Iterator[tuple[Weights, int, tuple[int, ...] | None]]:
+    """The levels from 1 on as (weights, alive mask, rows) until every row
+    is dead.  base holds the rows of M = W·Wᵀ for W's columns, and alive
+    its nonzero alive mask.  From level m + _BLOCK on, if m <= _LANE,
+    they come from _blocks, whose rows are None unless keep_rows."""
+    m = g.m
+    step = _factor_step(m, [bit_ids(c) for c in columns])
+    padded = [0, *base]
+    # the factor must reproduce the base: M·I = M
+    assert step((0, *(1 << i for i in range(m)))) == padded
+    # a row dies on reaching zero or any value it has held before; live
+    # pairs each live row's edge id with zero and the values it has held,
+    # through level m
+    live = [(e, {0, r}) for e, r in enumerate(base, start=1) if r]
+    # a row of more than _LANE bits takes no block
+    first_block = m + _BLOCK if m <= _LANE else -1
+    # the rows of levels m - 1 to m + _BLOCK - 1, which the first block
+    # is made from
+    recent: list[tuple[int, ...]] = []
+    for level in count(1):
+        if level == first_block:
+            yield from _blocks(g, step, padded, recent, live, alive, keep_rows)
+            return
+        padded = step(padded)
+        dead = 0
+        if level <= m:
+            for e, seen in live:
+                r = padded[e]
+                if r in seen:
+                    dead |= 1 << (e - 1)
+                else:
+                    seen.add(r)
+        else:
+            # past level m every row repeats a value it held by then
+            for e, seen in live:
+                if padded[e] in seen:
+                    dead |= 1 << (e - 1)
+        if dead:
+            alive ^= dead
+            if not alive:
+                return
+            live = [(e, seen) for e, seen in live if (alive >> (e - 1)) & 1]
+        rows = tuple(padded[1:])
+        if m - 1 <= level < first_block:
+            recent.append(rows)
+        yield _level_weights(g, rows, alive), alive, rows
 
 
 def _level_table(per_level: Iterable[tuple[int, ...]]) -> LevelWeights:

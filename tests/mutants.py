@@ -99,6 +99,41 @@ CATALOGUE = (
         kill=("tests/test_spectra_oracle.py",),
     ),
     Mutant(
+        "level_window_unbounded",
+        "src/edgespec/spectra.py",
+        "if m - 1 <= level < first_block:",
+        "if m - 1 <= level:",
+        kill=("tests/test_spectra_oracle.py::test_rows_wider_than_a_lane_pin_no_window",),
+    ),
+    Mutant(
+        "level_window_kept_past_first_block",
+        "src/edgespec/spectra.py",
+        "recent.clear()",
+        "pass",
+        kill=("tests/test_spectra_oracle.py::test_window_is_released_past_the_first_block",),
+    ),
+    Mutant(
+        "ended_spectrum_keeps_its_loop",
+        "src/edgespec/spectra.py",
+        "self._levels = levels = None",
+        "levels = None",
+        kill=("tests/test_spectra_oracle.py::test_ended_spectra_drop_the_loop",),
+    ),
+    Mutant(
+        "sphere_pass_balls_shifted",
+        "src/edgespec/graphs.py",
+        "grown = [*map(or_, ball, grow(ball))]",
+        "grown = [*map(or_, ball[:1] + ball[2:] + [0], grow(ball))]",
+        kill=("tests/test_graphs.py",),
+    ),
+    Mutant(
+        "cut_level_edge_cortege_only",
+        "src/edgespec/engine.py",
+        "if Invariant.from_weights(*gb.weights[l]) != Invariant.from_weights(*hb.weights[l]):",
+        "if sorted(gb.weights[l][0]) != sorted(hb.weights[l][0]):",
+        kill=("tests/test_census.py",),
+    ),
+    Mutant(
         "vertex_top_both_orders",
         "src/edgespec/isometric.py",
         "ys = pool & -2 << x if first else pool",

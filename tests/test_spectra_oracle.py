@@ -611,15 +611,21 @@ def test_tree_with_a_late_first_repeat_matches_reference():
     assert_matches_reference(cut_spectrum_unchecked(t, 300), ref.base_edge_cuts(t), 300)
 
 
+def loop_state(spec):
+    """The locals of a spectrum's suspended level loop."""
+    return spec._levels.gi_frame.f_locals
+
+
 @pytest.mark.parametrize("n, seed", [(18, 2), (20, 4), (20, 6), (22, 1)])
 def test_held_values_stop_growing_after_level_m(n, seed):
     g = fx.random_cubic(Random(seed), n)
     builder = spectra._cut_builder(g, None)
     builder.extend(g.m + 8)
     assert len(builder.weights) == g.m + 8
-    assert builder._live
+    live = loop_state(builder)["live"]
+    assert live
     # zero and one distinct value for each of the levels 0..m
-    assert all(len(held) == g.m + 2 for _, held in builder._live)
+    assert all(len(held) == g.m + 2 for _, held in live)
 
 
 # Past level m + _BLOCK a spectrum of at most _LANE edges steps _BLOCK
@@ -765,3 +771,53 @@ def test_rows_wider_than_a_lane_take_no_block(block_levels):
     spec.extend(None)
     assert len(spec.weights) == 500
     assert block_levels == []
+
+
+# The level loop is one generator, held in Spectrum._levels while a level
+# may follow.  Its window of recent rows spans levels m - 1 to
+# m + _BLOCK - 1 of a spectrum that takes blocks, and is emptied once the
+# first block is packed; a spectrum that ends drops the loop.
+
+
+def test_rows_wider_than_a_lane_pin_no_window():
+    g = fx.random_cubic(Random(64002), 64)
+    assert g.m == 96
+    spec = spectra._cut_builder(g, None)
+    spec.extend(300)
+    assert len(spec.weights) == 300 and spec._levels is not None
+    assert loop_state(spec)["recent"] == []
+
+
+def test_window_is_released_past_the_first_block(block_levels):
+    g = fx.path(19)
+    spec = spectra._cut_builder(g, None)
+    spec.extend(g.m + BLOCK)
+    # levels m - 1 to m + _BLOCK - 1, the first block still to come
+    assert len(loop_state(spec)["recent"]) == BLOCK + 1
+    assert block_levels == []
+    spec.extend(g.m + BLOCK + 1)
+    assert block_levels == [1]
+    assert loop_state(spec)["recent"] == []
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["engine", "kept"])
+def test_ended_spectra_drop_the_loop(keep):
+    def cut(g, cap):
+        return spectra.Spectrum("cut", g, g._cut[1:], cap, keep)
+
+    # every row dead: per level, and inside a block; the loop learns it
+    # on the draw after the last level
+    for g, levels in ((fx.k_n(4), 1), (fx.random_cubic(Random(6), 20), 155)):
+        spec = cut(g, None)
+        spec.extend(levels)
+        assert spec._levels is not None
+        spec.extend(None)
+        assert len(spec.weights) == levels
+        assert spec._levels is None and not spec.truncated
+    # the cap reached with rows alive
+    spec = cut(fx.path(19), 150)
+    spec.extend(None)
+    assert spec._levels is None and spec.truncated
+    # no live row at the base level: no loop at all
+    k2 = graph_from_edges(2, [(1, 2)])
+    assert cut(k2, None)._levels is None
