@@ -33,15 +33,23 @@ is zero or repeats an earlier value of the same row.  Construction
 stops when every row is dead or at an explicit level cap.
 
 Each live row keeps the set of values it has held, but only through
-level m, the edge count; past it the death check only looks values up.
-That is exact.  The rank of M^k falls strictly until it stops, at some
-k = N <= m, and then GF(2)^m = ker M^N ⊕ im M^N with M nilpotent on the
-first part and invertible on the second.  Level l holds row e of
-M^(l+1), so from level N - 1 on every row lies in im M^N and runs purely
-periodically: its first repeat is of a value it held by level N - 1, and
-it reaches zero, if ever, by then too.  On the cubic graphs of the
-benchmark's cut_deep workload the adds were about a quarter of a level's
-build time, and the sets would otherwise hold one value per level.
+level m, the edge count; past it the death check only looks values up,
+and from level m + K on, where the blocks below begin, no set is kept at
+all.  That is exact.  The rank of M^k falls strictly until it stops, at
+some k = N <= m, and then GF(2)^m = ker M^N ⊕ I, I = im M^N, with M
+nilpotent on the first part and invertible on the second.  Write row e's
+level-0 value as k + i, k in ker M^N and i in I.  Level l holds
+M^l (k + i), which lies in I exactly from level nu on, nu the nilpotent
+index of k; k is M times the kernel part of e's unit vector, so
+nu <= N - 1 <= m - 1 (nu = 0 when N = 0).  Before nu the kernel parts
+M^l k are nonzero and distinct, as one fixed by a power of M would never
+reach zero, so no value repeats before nu, and none held before nu comes
+back.  From nu on M permutes I, the row runs purely periodically, and
+its first repeat is of its value at nu, which is zero if the row dies on
+zero.  So every row dies on zero or on a value it held by level m - 1.
+On the cubic graphs of the benchmark's cut_deep workload the adds were
+about a quarter of a level's build time, and the sets would otherwise
+hold one value per level.
 
 Past level m + K, K = _BLOCK = 64, a spectrum of m <= 64 edges steps K
 levels at once on packed rows: one int holds row e's values at K
@@ -60,18 +68,25 @@ factor step, so wider rows keep it.  The first block is checked like
 the factor: lane 0 of its packed rows must be one factor step of the
 last level.
 
-A row's death needs no other row.  Row e at level l is row e of M^(l+1)
-whatever the other rows hold, and past level m its set of held values
-is only read.  So before a block is weighed, each live row's death lane,
-the first lane whose value lies in its set, comes from looking that
-row's K values up, and the alive mask of every lane follows.  The block
-is then weighed with those masks, packed: xi_l(e) is a popcount per
-lane of row e ANDed with the lane's alive mask, by sideways addition
-(Knuth, TAOCP 4A, 7.1.3) on the lanes of one int, and zeta takes one
-add of packed counts per incidence.  Both are unpacked per level.  The
-first m + K levels keep the per-level loop: there the sets still grow,
-and there the compare cascade's lockstep usually stops, where a block
-would weigh levels that no one reads.
+A row still alive there dies on its value at nu, its death value d_e:
+the first value it held, in level order, that lies in I.  Since
+K >= m >= N, I is the row space of M^K, which level K - 1 holds, and all rows of
+levels 0 to m + K - 1 are in hand when the first block is built; so an
+echelon basis of I gives each live row's d_e there, and the held-value
+sets are released.  The row dies at the first lane of a block that holds
+d_e, the first zero lane of x = packed[e] ^ d_e·ones, ones holding 1 in
+every lane.  With low holding the low 63 bits of each lane and high its
+top bit, high & ~(((x & low) + low) | x) sets the top bit of exactly the
+zero lanes (Knuth, TAOCP 4A, 7.1.3), about six operations on one packed
+row a block.  The alive mask of every lane follows.  The block is then
+weighed with those masks, packed: xi_l(e) is a popcount per lane of row
+e ANDed with the lane's alive mask, by sideways addition on the lanes of
+one int, and zeta takes one add of packed counts per incidence.  Both are
+unpacked per level, a last block only through its last live lane, and
+the rows are unpacked only for a spectrum that keeps them.  The first
+m + K levels keep the per-level loop: there the sets still grow, and there
+the compare cascade's lockstep usually stops, where a block would weigh
+levels that no one reads.
 
 The level loop is one generator, _levels, and the only place a level is
 weighed: it yields each level's (xi, zeta), alive mask and rows, through
@@ -204,7 +219,8 @@ class Spectrum:
     docstring), so it never holds more than m + 2 values.  Past level
     m + _BLOCK a spectrum of at most _LANE edges weighs a block of _BLOCK
     levels at once, and the loop yields them one by one, so a call that
-    stops inside a block leaves the rest for the next call.  Reaching the
+    stops inside a block leaves the rest for the next call; there each row
+    dies at its death value, and the sets are gone.  Reaching the
     cap with rows still alive sets truncated.
     """
 
@@ -376,10 +392,19 @@ def _pack(values: Sequence[int]) -> int:
     return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
 
 
-def _unpack(packed: Sequence[int]) -> tuple[int, ...]:
-    """The _BLOCK lanes of every packed int, in turn."""
-    data = b"".join(x.to_bytes(8 * _BLOCK, "little") for x in packed)
-    return struct.unpack(f"<{len(packed) * _BLOCK}Q", data)
+def _unpack(packed: Sequence[int], lanes: int) -> tuple[int, ...]:
+    """The first `lanes` lanes of every packed int, in turn."""
+    keep = (1 << _LANE * lanes) - 1
+    data = b"".join((x & keep).to_bytes(8 * lanes, "little") for x in packed)
+    return struct.unpack(f"<{len(packed) * lanes}Q", data)
+
+
+def _reduce(v: int, basis: dict[int, int]) -> int:
+    """v less the members of an echelon basis keyed by their top bits:
+    zero exactly when v lies in the basis's span."""
+    while v and (b := basis.get(v.bit_length())):
+        v ^= b
+    return v
 
 
 def _blocks(
@@ -387,42 +412,57 @@ def _blocks(
     step: Callable[[Sequence[int]], list[int]],
     padded: list[int],
     recent: list[tuple[int, ...]],
-    live: list[tuple[int, set[int]]],
     alive: int,
     keep_rows: bool,
 ) -> Iterator[tuple[Weights, int, tuple[int, ...] | None]]:
     """The levels from m + _BLOCK on as (weights, alive mask, rows), a
     block of _BLOCK levels at a time, until every row is dead; m is at
-    most _LANE.  recent holds the rows of levels m - 1 to m + _BLOCK - 1,
-    padded the last of them as step, the factor step, reads it.  live
-    pairs each live row with its held values, and alive is the last
-    level's alive mask."""
+    most _LANE.  recent holds the rows of levels 0 to m + _BLOCK - 1,
+    padded the last of them as step, the factor step, reads it, and alive
+    is the last level's alive mask.  A live row dies at the first lane
+    that holds its death value (see the module docstring)."""
     m = g.m
     # level l holds the rows of M^(l+1), so level _BLOCK - 1 those of
     # M^_BLOCK, and one gather pass over them takes every lane _BLOCK
     # levels on; entry e of packed holds row e at each level of a block
-    jump = _gather_pass([(), *map(bit_ids, recent[_BLOCK - m])], xor)
-    packed = jump([0, *map(_pack, zip(*recent[1:]))])
-    # the caller's frame holds the same list, so empty it
-    recent.clear()
+    power = recent[_BLOCK - 1]
+    jump = _gather_pass([(), *map(bit_ids, power)], xor)
+    packed = jump([0, *map(_pack, zip(*recent[m:]))])
     # lane 0 of the first block is the level after the last: one factor step
     assert [x & (1 << _LANE) - 1 for x in packed] == step(padded)
     ones = ((1 << _LANE * _BLOCK) - 1) // ((1 << _LANE) - 1)
+    # an echelon basis of I = im M^_BLOCK, keyed by each member's top bit
+    basis: dict[int, int] = {}
+    for r in power:
+        if r := _reduce(r, basis):
+            basis[r.bit_length()] = r
+    # each live row's death value, its first value in I, in every lane
+    live = []
+    for e in bit_ids(alive):
+        history = (rows[e - 1] for rows in recent)
+        death = next(v for v in history if not _reduce(v, basis))
+        live.append((e, death * ones))
+    # the caller's frame holds the same list, so empty it
+    recent.clear()
     fives, threes, nibbles, counts = (
         c * ones for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x7F)
     )
+    # the low 63 bits and the top bit of every lane
+    low, high = 0x7FFFFFFFFFFFFFFF * ones, ones << _LANE - 1
     while True:
-        values = _unpack(packed[1:])
-        # each live row's death lane: the first that holds a held value
+        # each live row's death lane: the first whose value is its death
+        # value, the first zero lane of the XOR with it
         ends: dict[int, int] = {}
         survivors = []
-        for e, seen in live:
-            row = values[(e - 1) * _BLOCK : e * _BLOCK]
-            if seen.isdisjoint(row):
-                survivors.append((e, seen))
-            else:
-                lane = next(j for j, v in enumerate(row) if v in seen)
+        for e, death in live:
+            x = packed[e] ^ death
+            # the top bit of each zero lane (Knuth, TAOCP 4A, 7.1.3)
+            zero = high & ~(((x & low) + low) | x)
+            if zero:
+                lane = (zero & -zero).bit_length() // _LANE - 1
                 ends[lane] = ends.get(lane, 0) | 1 << (e - 1)
+            else:
+                survivors.append((e, death))
         live = survivors
         masks = []
         for j in range(_BLOCK):
@@ -432,6 +472,7 @@ def _blocks(
             masks.append(alive)
         if not masks:
             return
+        lanes = len(masks)
         lane_alive = _pack(masks)
         # xi: a popcount per lane of the live cells
         xis = []
@@ -449,11 +490,13 @@ def _blocks(
         for (u, v), x in zip(g.edges, xis):
             zetas[u] += x
             zetas[v] += x
-        xi, zeta = _unpack(xis), _unpack(zetas[1:])
+        # only the lanes that masks holds, fewer in a last block
+        xi, zeta = _unpack(xis, lanes), _unpack(zetas[1:], lanes)
+        values = _unpack(packed[1:], lanes) if keep_rows else None
         for j, mask in enumerate(masks):
-            rows = values[j::_BLOCK] if keep_rows else None
-            yield (xi[j::_BLOCK], zeta[j::_BLOCK]), mask, rows
-        if len(masks) < _BLOCK:
+            rows = values[j::lanes] if keep_rows else None
+            yield (xi[j::lanes], zeta[j::lanes]), mask, rows
+        if lanes < _BLOCK:
             return
         packed = jump(packed)
 
@@ -463,8 +506,10 @@ def _levels(
 ) -> Iterator[tuple[Weights, int, tuple[int, ...] | None]]:
     """The levels from 1 on as (weights, alive mask, rows) until every row
     is dead.  base holds the rows of M = W·Wᵀ for W's columns, and alive
-    its nonzero alive mask.  From level m + _BLOCK on, if m <= _LANE,
-    they come from _blocks, whose rows are None unless keep_rows."""
+    its nonzero alive mask.  Each live row's held values find its death
+    through level m + _BLOCK - 1.  From level m + _BLOCK on, if m <= _LANE,
+    the levels come from _blocks, whose rows are None unless keep_rows:
+    it takes the rows of levels 0 to m + _BLOCK - 1, and the sets go."""
     m = g.m
     step = _factor_step(m, [bit_ids(c) for c in columns])
     padded = [0, *base]
@@ -475,13 +520,15 @@ def _levels(
     # through level m
     live = [(e, {0, r}) for e, r in enumerate(base, start=1) if r]
     # a row of more than _LANE bits takes no block
-    first_block = m + _BLOCK if m <= _LANE else -1
-    # the rows of levels m - 1 to m + _BLOCK - 1, which the first block
-    # is made from
-    recent: list[tuple[int, ...]] = []
+    first_block = m + _BLOCK if m <= _LANE else 0
+    # the rows of levels 0 to m + _BLOCK - 1, which the first block is
+    # made from
+    recent = [base] if first_block else []
     for level in count(1):
         if level == first_block:
-            yield from _blocks(g, step, padded, recent, live, alive, keep_rows)
+            # the blocks find each row's death by its death value
+            live.clear()
+            yield from _blocks(g, step, padded, recent, alive, keep_rows)
             return
         padded = step(padded)
         dead = 0
@@ -503,7 +550,7 @@ def _levels(
                 return
             live = [(e, seen) for e, seen in live if (alive >> (e - 1)) & 1]
         rows = tuple(padded[1:])
-        if m - 1 <= level < first_block:
+        if level < first_block:
             recent.append(rows)
         yield _level_weights(g, rows, alive), alive, rows
 

@@ -94,16 +94,37 @@ CATALOGUE = (
     Mutant(
         "block_jump_half_power",
         "src/edgespec/spectra.py",
-        "recent[_BLOCK - m]",
-        "recent[_BLOCK // 2 - m]",
+        "recent[_BLOCK - 1]",
+        "recent[_BLOCK // 2 - 1]",
         kill=("tests/test_spectra_oracle.py",),
     ),
     Mutant(
         "level_window_unbounded",
         "src/edgespec/spectra.py",
-        "if m - 1 <= level < first_block:",
-        "if m - 1 <= level:",
+        "if level < first_block:",
+        "if True:",
         kill=("tests/test_spectra_oracle.py::test_rows_wider_than_a_lane_pin_no_window",),
+    ),
+    Mutant(
+        "death_value_searched_in_reverse",
+        "src/edgespec/spectra.py",
+        "history = (rows[e - 1] for rows in recent)",
+        "history = (rows[e - 1] for rows in reversed(recent))",
+        kill=("tests/test_spectra_oracle.py",),
+    ),
+    Mutant(
+        "death_value_in_image_always",
+        "src/edgespec/spectra.py",
+        "death = next(v for v in history if not _reduce(v, basis))",
+        "death = next(v for v in history if True)",
+        kill=("tests/test_spectra_oracle.py",),
+    ),
+    Mutant(
+        "death_lane_zero_test_high_bit_only",
+        "src/edgespec/spectra.py",
+        "zero = high & ~(((x & low) + low) | x)",
+        "zero = high & ~x",
+        kill=("tests/test_spectra_oracle.py",),
     ),
     Mutant(
         "level_window_kept_past_first_block",

@@ -87,6 +87,71 @@ def test_fixtures_match_reference(name):
     check_graph(fx.NONSEPARABLE_FIXTURES[name]())
 
 
+# A live row dies at the first lane that holds its death value: its first
+# value in I = im M^N, taken as the row space of M^_BLOCK.  Row e's level-0
+# value is k + i with k in ker M^N and i in I; its values lie in I from
+# level nu on, nu the nilpotent index of k, and its first repeat is its
+# value at nu.  A wrong death value keeps a row alive past its death, so
+# each build is capped a block past the spectrum's end before it runs
+# uncapped, and these tests come before the uncapped deep builds below:
+# under pytest -x the fault then fails a capped build rather than running
+# without end.  check_block_path and the block_levels fixture are in the
+# block path's tests further down.
+
+
+def death_values(base):
+    """For each nonzero row of the base, walked one level at a time: the
+    level at which it dies and the value it dies on, 0 for zero."""
+    out = []
+    for r in base:
+        if not r:
+            continue
+        held = {r}
+        level = 0
+        while True:
+            level += 1
+            r = times_base(r, base)
+            if not r or r in held:
+                out.append((level, r))
+                break
+            held.add(r)
+    return out
+
+
+def check_capped_then_whole(g, levels):
+    for cap in (levels + BLOCK, None):
+        spec = check_block_path(g, cap)
+        assert len(spec.weights) == levels and not spec.truncated
+
+
+# random_cubic(Random(seed), 22), m = 33: (levels, the latest nu of a row
+# that dies inside a block)
+LATE = {9: (130, 3), 19: (257, 2)}
+
+
+@pytest.mark.parametrize("seed", sorted(LATE))
+def test_rows_entering_their_cycle_late_die_inside_a_block(block_levels, seed):
+    g = fx.random_cubic(Random(seed), 22)
+    levels, nu = LATE[seed]
+    start = g.m + BLOCK
+    late = [held for died, held in first_repeats(bits(base_edge_cuts(g))) if died > start]
+    # seed 9: rows 1-3 first hold their death value at level 3 and die at
+    # level 130, inside the first block, from level 97
+    assert max(late) == nu and start < levels < start + 3 * BLOCK
+    check_capped_then_whole(g, levels)
+    assert block_levels[-1] == levels - start
+
+
+def test_death_value_in_the_top_bit_of_a_lane(block_levels):
+    # m = 64: rows die at levels 260 and 262, inside the third block, on
+    # death values that hold edge 64, the top bit of a lane
+    g = cycle_with_chords(24, 64, 2)
+    assert g.m == 64
+    deaths = death_values(bits(base_edge_cuts(g)))
+    assert any(died > g.m + 2 * BLOCK and value >> 63 for died, value in deaths)
+    check_capped_then_whole(g, 262)
+
+
 @pytest.mark.parametrize("n, seed", [(16, 1), (18, 2), (20, 4), (20, 6), (22, 1)])
 def test_deep_cubic_spectra_match_reference(n, seed):
     g = fx.random_cubic(Random(seed), n)
@@ -774,9 +839,9 @@ def test_rows_wider_than_a_lane_take_no_block(block_levels):
 
 
 # The level loop is one generator, held in Spectrum._levels while a level
-# may follow.  Its window of recent rows spans levels m - 1 to
-# m + _BLOCK - 1 of a spectrum that takes blocks, and is emptied once the
-# first block is packed; a spectrum that ends drops the loop.
+# may follow.  Its window of recent rows spans levels 0 to m + _BLOCK - 1
+# of a spectrum that takes blocks, and is emptied once the first block is
+# packed, as are the held-value sets; a spectrum that ends drops the loop.
 
 
 def test_rows_wider_than_a_lane_pin_no_window():
@@ -792,12 +857,15 @@ def test_window_is_released_past_the_first_block(block_levels):
     g = fx.path(19)
     spec = spectra._cut_builder(g, None)
     spec.extend(g.m + BLOCK)
-    # levels m - 1 to m + _BLOCK - 1, the first block still to come
-    assert len(loop_state(spec)["recent"]) == BLOCK + 1
+    # levels 0 to m + _BLOCK - 1, the first block still to come
+    assert len(loop_state(spec)["recent"]) == g.m + BLOCK
+    assert loop_state(spec)["live"]
     assert block_levels == []
     spec.extend(g.m + BLOCK + 1)
     assert block_levels == [1]
     assert loop_state(spec)["recent"] == []
+    # the death values stand in for the held-value sets
+    assert loop_state(spec)["live"] == []
 
 
 @pytest.mark.parametrize("keep", [False, True], ids=["engine", "kept"])
