@@ -14,7 +14,6 @@ import codecs
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Iterator
 
 from .engine import (
@@ -46,7 +45,10 @@ LEVEL_CAP_THRESHOLD = 64
 
 def _read(path: str) -> str:
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text()
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GrfParseError(f"cannot read {path}: {exc}") from exc
 
@@ -301,8 +303,8 @@ def tree(path: str, fmt: str) -> None:
     _print_integral(g, IntegralInvariant(inv, None, None))
 
 
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser and its commands by name."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each command's subparser by name."""
 
     def shared(*flags: str, **kwargs) -> argparse.ArgumentParser:
         parent = argparse.ArgumentParser(add_help=False)
@@ -336,8 +338,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     commands = {}
 
     def command(run, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        commands[run.__name__] = run
-        p = sub.add_parser(
+        p = commands[run.__name__] = sub.add_parser(
             run.__name__,
             help=run.__doc__,
             description=run.__doc__,
@@ -372,7 +373,10 @@ class _Main:
     """The ``edgespec`` command, called as the console script.
 
     Any library error a command raises prints ``error: ...`` on stderr and
-    exits 2; argparse exits 2 on a usage error.
+    exits 2; argparse exits 2 on a usage error.  A line that starts with a
+    command's name is parsed by that command's subparser alone, which
+    gives the namespace the whole parser would; the whole parser takes
+    every other line, such as ``--help`` or an unknown command.
     """
 
     def __init__(self) -> None:
@@ -393,7 +397,12 @@ class _Main:
             for stream in (sys.stdout, sys.stderr):
                 if codecs.lookup(getattr(stream, "encoding", None) or "utf-8").name == "ascii":
                     stream.reconfigure(encoding="utf-8")
-        options = vars(self.parser.parse_args(args))
+        args = sys.argv[1:] if args is None else list(args)
+        command = self.commands.get(args[0]) if args else None
+        if command is None:
+            options = vars(self.parser.parse_args(args))
+        else:
+            options = vars(command.parse_args(args[1:]))
         run = options.pop("run")
         try:
             run(**options)

@@ -6,11 +6,11 @@ invariants, the base cycle-spectrum invariant, and optionally the line
 invariant.  Equality of all invariants is inconclusive; for small graphs
 an exhaustive search settles the question.
 
-The cut spectra of the two graphs are built in lockstep through the
-resumable level loop of spectra.Spectrum.  Both grow one level at a
-time, and each new common level is compared before the next is built,
-so a pair that first differs at level l builds at most l + 1 levels of
-each instead of both spectra to the end.  Every path here reads the
+The cut spectra of the two graphs are built in lockstep, each
+spectra.Spectrum drawing its levels from its _levels generator.  Both
+grow one level at a time, and each new common level is compared before
+the next is built, so a pair that first differs at level l builds at
+most l + 1 levels of each instead of both spectra to the end.  Every path here reads the
 weights its spectra record and keeps no rows.
 """
 

@@ -20,6 +20,7 @@ step of the spectra, by OR for a level of the distance spheres.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
 from itertools import zip_longest
 from operator import itemgetter, or_, xor
@@ -30,6 +31,7 @@ from .errors import (
     DisconnectedGraph,
     DuplicateNeighbor,
     EmptyCore,
+    GraphError,
     LengthMismatch,
     LoopFound,
     VertexOutOfRange,
@@ -140,19 +142,30 @@ class Graph:
             raise VertexOutOfRange(f"vertex count {n} must be positive")
         adj: list[list[int]] = [[] for _ in range(n + 1)]
         cut = [0] * (n + 1)
-        for k, (u, v) in enumerate(edges):
+        bit = 1
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-            cut[u] |= 1 << k
-            cut[v] |= 1 << k
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", len(edges))
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_cut", tuple(cut))
+            cut[u] |= bit
+            cut[v] |= bit
+            bit <<= 1
+        self._fill(n, tuple(edges), [*map(sorted, adj)], cut)
+
+    def _fill(
+        self, n: int, edges: tuple[tuple[int, int], ...], adj: list[list[int]], cut: list[int]
+    ) -> None:
+        """Set the slots from what a constructor derived: edges in id order,
+        sorted neighbour lists and central cuts, both padded at index 0.
+        Raises DisconnectedGraph unless every vertex is reachable from 1."""
+        _check_connected(n, adj)
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "m", len(edges))
+        put(self, "edges", edges)
+        put(self, "_adj", tuple(map(tuple, adj)))
+        put(self, "_cut", tuple(cut))
         # distance_spheres fills this on first use
-        object.__setattr__(self, "_spheres", None)
-        _check_connected(n, self._adj)
+        put(self, "_spheres", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -221,41 +234,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _validate_adjacency(n: int, adjacency) -> list[tuple[int, ...]]:
-    if n < 1:
-        raise VertexOutOfRange(f"vertex count {n} must be positive")
-    if isinstance(adjacency, Mapping):
-        rows = {int(v): list(adjacency[v]) for v in adjacency}
-        extra = set(rows) - set(range(1, n + 1))
-        if extra:
-            raise VertexOutOfRange(f"adjacency keys outside 1..{n}: {sorted(extra)}")
-        lists = [rows.get(v, []) for v in range(1, n + 1)]
-    else:
-        lists = [list(row) for row in adjacency]
-        if len(lists) != n:
-            raise VertexOutOfRange(
-                f"expected {n} adjacency rows, got {len(lists)}"
-            )
-    neigh: list[tuple[int, ...]] = [()]
-    seen: list[set[int]] = [set() for _ in range(n + 1)]
-    for v, row in enumerate(lists, start=1):
-        for u in row:
-            if not 1 <= u <= n:
-                raise VertexOutOfRange(f"vertex {v} lists neighbor {u} outside 1..{n}")
-            if u == v:
-                raise LoopFound(f"vertex {v} lists itself")
-            if u in seen[v]:
-                raise DuplicateNeighbor(f"vertex {v} lists {u} twice")
-            seen[v].add(u)
-        neigh.append(tuple(sorted(seen[v])))
-    for v in range(1, n + 1):
-        for u in neigh[v]:
-            if v not in seen[u]:
-                raise AsymmetricAdjacency(f"{v} lists {u} but {u} does not list {v}")
-    return neigh
-
-
-def _check_connected(n: int, neigh: Sequence[tuple[int, ...]]) -> None:
+def _check_connected(n: int, neigh: Sequence[Sequence[int]]) -> None:
     seen = [False, True] + [False] * (n - 1)
     reached = [1]
     # the loop also walks the vertices it appends
@@ -269,20 +248,84 @@ def _check_connected(n: int, neigh: Sequence[tuple[int, ...]]) -> None:
         raise DisconnectedGraph(f"vertices unreachable from 1: {missing}")
 
 
+def _rows(n: int, adjacency) -> list[list[int]]:
+    """The n rows, as lists, of a mapping vertex -> neighbours or of a
+    sequence of rows."""
+    if isinstance(adjacency, Mapping):
+        rows = {int(v): adjacency[v] for v in adjacency}
+        extra = set(rows) - set(range(1, n + 1))
+        if extra:
+            raise VertexOutOfRange(f"adjacency keys outside 1..{n}: {sorted(extra)}")
+        return [list(rows.get(v, ())) for v in range(1, n + 1)]
+    rows = [*map(list, adjacency)]
+    if len(rows) != n:
+        raise VertexOutOfRange(f"expected {n} adjacency rows, got {len(rows)}")
+    return rows
+
+
+def _row_error(n: int, v: int, row: list[int]) -> GraphError:
+    """The error for the first bad entry of row v, in its listed order."""
+    seen = set()
+    for u in row:
+        if not 1 <= u <= n:
+            return VertexOutOfRange(f"vertex {v} lists neighbor {u} outside 1..{n}")
+        if u == v:
+            return LoopFound(f"vertex {v} lists itself")
+        if u in seen:
+            return DuplicateNeighbor(f"vertex {v} lists {u} twice")
+        seen.add(u)
+
+
+def _asymmetry_error(neigh: Sequence[Sequence[int]]) -> AsymmetricAdjacency:
+    """The error for the first listed pair, by vertex and then neighbour,
+    that the other end does not list."""
+    sets = [*map(set, neigh)]
+    for v, row in enumerate(neigh):
+        for u in row:
+            if v not in sets[u]:
+                return AsymmetricAdjacency(f"{v} lists {u} but {u} does not list {v}")
+
+
 def build_graph(n: int, adjacency) -> Graph:
     """Build a graph from 1-based adjacency lists with canonical edge numbering.
 
     adjacency is a mapping vertex -> neighbors or a sequence of n rows.
     Rejects loops, duplicate neighbors, asymmetric lists, out-of-range
-    vertices, and disconnected graphs.
+    vertices, and disconnected graphs.  The checks and the build are one
+    pass; a row or a pair that fails is re-scanned only to name its first
+    bad entry in input order.
     """
-    neigh = _validate_adjacency(n, adjacency)
+    if n < 1:
+        raise VertexOutOfRange(f"vertex count {n} must be positive")
+    neigh: list[list[int]] = [[]]
+    # lower[v]: the neighbours row v lists below v
+    lower: list[list[int]] = [[]]
+    for v, row in enumerate(_rows(n, adjacency), start=1):
+        ns = sorted(row)
+        if ns and (ns[0] < 1 or ns[-1] > n) or v in ns or len(set(ns)) < len(ns):
+            raise _row_error(n, v, row)
+        neigh.append(ns)
+        lower.append(ns[: bisect_left(ns, v)])
+    # each pair is numbered at its lower end, in the canonical order;
+    # listed[u] collects the vertices v < u that list u
     edges = []
+    listed: list[list[int]] = [[] for _ in range(n + 1)]
+    cut = [0] * (n + 1)
+    bit = 1
     for v in range(1, n + 1):
-        for u in neigh[v]:
-            if v < u:
-                edges.append((v, u))
-    return Graph(n, edges)
+        for u in neigh[v][len(lower[v]) :]:
+            edges.append((v, u))
+            listed[u].append(v)
+            cut[v] |= bit
+            cut[u] |= bit
+            bit <<= 1
+    # the rows are symmetric exactly when each lists below itself the
+    # vertices below it that list it
+    if listed != lower:
+        raise _asymmetry_error(neigh)
+    g = Graph.__new__(Graph)
+    g._fill(n, tuple(edges), neigh, cut)
+    return g
 
 
 def graph_from_edges(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
@@ -294,18 +337,27 @@ def graph_from_edges(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     if n < 1:
         raise VertexOutOfRange(f"vertex count {n} must be positive")
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    cut = [0] * (n + 1)
+    bit = 1
     for u, v in edge_list:
         if not (1 <= u <= n and 1 <= v <= n):
             raise VertexOutOfRange(f"edge ({u},{v}) outside 1..{n}")
         if u == v:
             raise LoopFound(f"loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        # the cuts of u and v share a bit only if an earlier edge joins them
+        if cut[u] & cut[v]:
             raise DuplicateNeighbor(f"edge {key} listed twice")
-        seen.add(key)
         edges.append(key)
-    return Graph(n, edges)
+        adj[u].append(v)
+        adj[v].append(u)
+        cut[u] |= bit
+        cut[v] |= bit
+        bit <<= 1
+    g = Graph.__new__(Graph)
+    g._fill(n, tuple(edges), [*map(sorted, adj)], cut)
+    return g
 
 
 def central_cut(g: Graph, v: int) -> EdgeSet:

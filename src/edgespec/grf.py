@@ -9,6 +9,7 @@ comments.  The edge-list format is one "u v" pair per line with optional
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .errors import BadOffsets, GrfParseError, OddNeighborCount
 from .graphs import Graph, build_graph, graph_from_edges
@@ -17,16 +18,24 @@ _COMMENT = re.compile(r"\{[^}]*\}")
 
 
 def _tokens(text: str) -> list[int]:
-    cleaned = _COMMENT.sub(" ", text)
+    cleaned = _COMMENT.sub(" ", text) if "{" in text else text
     if "{" in cleaned or "}" in cleaned:
         raise GrfParseError("unbalanced comment braces")
-    out = []
-    for tok in cleaned.split():
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise GrfParseError(f"not an integer: {tok!r}") from None
-    return out
+    words = cleaned.split()
+    try:
+        return [*map(int, words)]
+    except ValueError:
+        # a re-scan names the first token that is not an integer
+        bad = next(tok for tok in words if not _is_int(tok))
+        raise GrfParseError(f"not an integer: {bad!r}") from None
+
+
+def _is_int(tok: str) -> bool:
+    try:
+        int(tok)
+    except ValueError:
+        return False
+    return True
 
 
 def parse_grf(text: str) -> Graph:
@@ -42,9 +51,9 @@ def parse_grf(text: str) -> Graph:
     offsets = toks[1 : n + 2]
     if offsets[0] != 1:
         raise BadOffsets(f"first offset must be 1, got {offsets[0]}")
-    for a, b in zip(offsets, offsets[1:]):
-        if b < a:
-            raise BadOffsets(f"offsets decrease: {a} then {b}")
+    if sorted(offsets) != offsets:
+        a, b = next((a, b) for a, b in zip(offsets, offsets[1:]) if b < a)
+        raise BadOffsets(f"offsets decrease: {a} then {b}")
     total = offsets[-1] - 1
     if total % 2 != 0:
         raise OddNeighborCount(f"{total} neighbor entries cannot pair up")
@@ -72,24 +81,28 @@ def emit_grf(g: Graph) -> str:
 
 def parse_edgelist(text: str) -> Graph:
     """Parse "u v" lines; the listing order becomes the edge numbering."""
-    edges: list[tuple[int, int]] = []
-    top = 0
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GrfParseError(f"expected two vertex ids per line: {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GrfParseError(f"not an integer pair: {raw!r}") from None
-        edges.append((u, v))
-        top = max(top, u, v)
-    if not edges:
+    pairs = [*filter(None, (raw.split("#", 1)[0].split() for raw in text.splitlines()))]
+    if not {*map(len, pairs)} <= {2}:
+        raise _line_error(text)
+    try:
+        ids = [*map(int, chain.from_iterable(pairs))]
+    except ValueError:
+        raise _line_error(text) from None
+    if not ids:
         raise GrfParseError("no edges found")
-    return graph_from_edges(top, edges)
+    return graph_from_edges(max(0, *ids), zip(ids[::2], ids[1::2]))
+
+
+def _line_error(text: str) -> GrfParseError:
+    """The error for the first line that is not a pair of integers."""
+    for raw in text.splitlines():
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            return GrfParseError(f"expected two vertex ids per line: {raw!r}")
+        if not (_is_int(parts[0]) and _is_int(parts[1])):
+            return GrfParseError(f"not an integer pair: {raw!r}")
 
 
 def load_graph(text: str) -> Graph:

@@ -253,6 +253,20 @@ CATALOGUE = (
         kill=("tests/test_graphs.py",),
     ),
     Mutant(
+        "edge_list_repeats_an_edge",
+        "src/edgespec/graphs.py",
+        "if cut[u] & cut[v]:",
+        "if False:",
+        kill=("tests/test_grf_oracle.py",),
+    ),
+    Mutant(
+        "adjacency_symmetry_unchecked",
+        "src/edgespec/graphs.py",
+        "if listed != lower:",
+        "if False:",
+        kill=("tests/test_grf_oracle.py",),
+    ),
+    Mutant(
         "tree_invariant_keeps_rows",
         "src/edgespec/engine.py",
         "return spectrum_invariant(_cut_builder(t, None))",

@@ -545,8 +545,9 @@ class TestUsage:
             ["invariant", "g.grf", "--format", "xml"],
             ["invariant", "g.grf", "--max-levels", "x"],
             ["invariant", "g.grf", "--max", "2"],
+            ["compare", "g.grf", "g.grf", "g.grf"],
         ],
-        ids=["unknown-command", "missing-path", "bad-format", "bad-int", "abbreviation"],
+        ids=["unknown-command", "missing-path", "bad-format", "bad-int", "abbreviation", "extra-path"],
     )
     def test_usage_error_exits_2(self, runner, tmp_path, args):
         grf_file(tmp_path, "g.grf", fx.k_n(4))
@@ -566,6 +567,47 @@ class TestUsage:
         r = runner.invoke(main, ["compare", "--help"])
         assert r.exit_code == 0
         assert "--brute-force-limit" in r.stdout
+
+
+# valid lines of every command, with options before, between and after
+# the paths, and in both the spaced and the "=" forms
+VALID_LINES = [
+    ["invariant", "g.grf"],
+    ["invariant", "--max-levels", "3", "g.grf", "--with-line-invariant", "--format", "machine"],
+    ["compare", "a.grf", "b.grf"],
+    ["compare", "--brute-force-limit", "4", "a.grf", "--max-levels=2", "b.grf", "--with-line-invariant"],
+    ["cycles", "g.grf", "--format", "human"],
+    ["spectrum", "g.grf", "--kind", "cycle", "--max-levels", "1"],
+    ["spectrum", "--kind=cut", "--format=machine", "g.grf"],
+    ["orbits", "g.grf", "--with-line-invariant"],
+    ["orbits", "--max-levels", "2", "g.grf"],
+    ["linegraph", "--format", "machine", "g.grf"],
+    ["tree", "-"],
+    ["tree", "g.edges", "--format", "machine"],
+]
+
+
+class TestDispatch:
+    """A line that starts with a command's name goes to that command's
+    subparser alone."""
+
+    def test_every_command_has_a_valid_line(self):
+        assert sorted({line[0] for line in VALID_LINES}) == COMMANDS
+
+    @pytest.mark.parametrize("line", VALID_LINES, ids=" ".join)
+    def test_subparser_gives_the_whole_parser_namespace(self, line):
+        direct = main.commands[line[0]].parse_args(line[1:])
+        assert vars(direct) == vars(main.parser.parse_args(line))
+
+    def test_a_command_line_skips_the_whole_parser(self, runner, tmp_path, monkeypatch):
+        def whole(args=None, namespace=None):
+            raise AssertionError("the whole parser ran")
+
+        path = grf_file(tmp_path, "k4.grf", fx.k_n(4))
+        monkeypatch.setattr(main.parser, "parse_args", whole)
+        r = runner.invoke(main, ["invariant", path])
+        assert r.exit_code == 0
+        assert r.stdout.startswith("vertices: 4\n")
 
 
 def child(*args, env=None):
