@@ -291,9 +291,11 @@ def build_graph(n: int, adjacency) -> Graph:
 
     adjacency is a mapping vertex -> neighbors or a sequence of n rows.
     Rejects loops, duplicate neighbors, asymmetric lists, out-of-range
-    vertices, and disconnected graphs.  The checks and the build are one
-    pass; a row or a pair that fails is re-scanned only to name its first
-    bad entry in input order.
+    vertices, and disconnected graphs.  Each row is checked as a whole as
+    it is sorted, and one loop over the entries above each vertex numbers
+    the edges, fills the central cuts and gathers what the symmetry check
+    compares; a row or a pair that fails is re-scanned only to name its
+    first bad entry in input order.
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count {n} must be positive")
