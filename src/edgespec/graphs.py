@@ -11,7 +11,7 @@ A Graph holds one such mask per vertex, its central cut, with bit e - 1
 set for each edge e at the vertex; every module reads the incidence from
 these masks.  In a simple graph the masks of u and v share exactly the
 bit of edge uv, or none when u and v are not adjacent.  Every Graph is
-connected: the constructor raises DisconnectedGraph otherwise.
+simple and connected: its constructors raise a typed error otherwise.
 
 _gather_pass is the one sparse pass of the package: entry i of its
 result folds the entries a group of indices names, by XOR for a level
@@ -130,26 +130,41 @@ def ring_sum(a: EdgeSet, b: EdgeSet) -> EdgeSet:
 class Graph:
     """Immutable simple undirected graph with 1-based vertex and edge ids.
 
-    The constructor raises DisconnectedGraph unless every vertex is
-    reachable from vertex 1, so every Graph is connected."""
+    Graph(n, edges) keeps the listed edge order as the edge numbering, for
+    ids that must match an externally fixed numbering rather than the
+    canonical scan of build_graph; each pair is stored as (u, v) with
+    u < v.  It raises VertexOutOfRange for an endpoint outside 1..n,
+    LoopFound for a loop, DuplicateNeighbor for a pair listed twice in
+    either order, and DisconnectedGraph unless every vertex is reachable
+    from vertex 1, so every Graph is simple and connected.
+    graph_from_edges is the same constructor."""
 
     # _cut[v]: the central cut of v as an edge mask, bit e - 1 for edge e
     __slots__ = ("n", "m", "edges", "_adj", "_cut", "_spheres")
 
-    def __init__(self, n: int, edges: Sequence[tuple[int, int]]) -> None:
-        # edges must arrive validated and normalized (u < v), in id order
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 1:
             raise VertexOutOfRange(f"vertex count {n} must be positive")
+        pairs: list[tuple[int, int]] = []
         adj: list[list[int]] = [[] for _ in range(n + 1)]
         cut = [0] * (n + 1)
         bit = 1
         for u, v in edges:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise VertexOutOfRange(f"edge ({u},{v}) outside 1..{n}")
+            if u == v:
+                raise LoopFound(f"loop at vertex {u}")
+            key = (u, v) if u < v else (v, u)
+            # the cuts of u and v share a bit only if an earlier edge joins them
+            if cut[u] & cut[v]:
+                raise DuplicateNeighbor(f"edge {key} listed twice")
+            pairs.append(key)
             adj[u].append(v)
             adj[v].append(u)
             cut[u] |= bit
             cut[v] |= bit
             bit <<= 1
-        self._fill(n, tuple(edges), [*map(sorted, adj)], cut)
+        self._fill(n, tuple(pairs), [*map(sorted, adj)], cut)
 
     def _fill(
         self, n: int, edges: tuple[tuple[int, int], ...], adj: list[list[int]], cut: list[int]
@@ -330,36 +345,8 @@ def build_graph(n: int, adjacency) -> Graph:
     return g
 
 
-def graph_from_edges(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph keeping the given edge order as the edge numbering.
-
-    Used when edge ids must match an externally fixed numbering instead of
-    the canonical scan.
-    """
-    if n < 1:
-        raise VertexOutOfRange(f"vertex count {n} must be positive")
-    edges: list[tuple[int, int]] = []
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    cut = [0] * (n + 1)
-    bit = 1
-    for u, v in edge_list:
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise VertexOutOfRange(f"edge ({u},{v}) outside 1..{n}")
-        if u == v:
-            raise LoopFound(f"loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        # the cuts of u and v share a bit only if an earlier edge joins them
-        if cut[u] & cut[v]:
-            raise DuplicateNeighbor(f"edge {key} listed twice")
-        edges.append(key)
-        adj[u].append(v)
-        adj[v].append(u)
-        cut[u] |= bit
-        cut[v] |= bit
-        bit <<= 1
-    g = Graph.__new__(Graph)
-    g._fill(n, tuple(edges), [*map(sorted, adj)], cut)
-    return g
+# the listed order as the edge numbering, checked: see Graph
+graph_from_edges = Graph
 
 
 def central_cut(g: Graph, v: int) -> EdgeSet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from itertools import chain
 
-from .errors import BadOffsets, GrfParseError, OddNeighborCount
+from .errors import BadOffsets, EdgespecError, GraphError, GrfParseError, OddNeighborCount
 from .graphs import Graph, build_graph, graph_from_edges
 
 _COMMENT = re.compile(r"\{[^}]*\}")
@@ -106,8 +106,16 @@ def _line_error(text: str) -> GrfParseError:
 
 
 def load_graph(text: str) -> Graph:
-    """Parse either supported format, preferring the offset format."""
+    """Parse either supported format: the offset format first, and an edge
+    list when that fails.  When both fail, the error raised is the edge
+    list's if the text is no offset-format file, and the offset format's
+    if it is one whose rows describe no valid graph."""
     try:
         return parse_grf(text)
     except GrfParseError:
         return parse_edgelist(text)
+    except GraphError as exc:
+        try:
+            return parse_edgelist(text)
+        except EdgespecError:
+            raise exc from None

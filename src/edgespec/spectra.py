@@ -109,7 +109,7 @@ from itertools import count
 from operator import xor
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import NotNonseparable, VertexOutOfRange
+from .errors import LengthMismatch, NotNonseparable, VertexOutOfRange
 from .graphs import EdgeSet, Graph, _gather_pass, bit_ids, is_nonseparable
 from .isometric import _cycle_masks
 
@@ -178,9 +178,8 @@ def _factor_step(m: int, slots: Sequence[Sequence[int]]) -> Callable[[Sequence[i
     That is about two XORs per entry of W, 3m for the cut factor.
     """
     # longest first, so pass one's later columns cover a prefix of the
-    # slots, and sums[0] is the zero entry; an empty slot adds nothing,
-    # but one stays if all are, as a pass has two groups or more
-    slots = sorted(filter(None, slots), key=len, reverse=True) or [()]
+    # slots, and sums[0] is the zero entry; an empty slot adds nothing
+    slots = sorted(filter(None, slots), key=len, reverse=True)
     holders: list[list[int]] = [[] for _ in range(m + 1)]
     for s, slot in enumerate(slots, start=1):
         for e in slot:
@@ -341,8 +340,14 @@ def cut_spectrum_unchecked(g: Graph, level_cap: int | None = None) -> Spectrum:
 
 
 def _masks(g: Graph, cycles: tuple[EdgeSet, ...] | None) -> Sequence[int]:
-    """The masks of the given cycles, or of g's isometric cycles."""
-    return _cycle_masks(g) if cycles is None else [c.bits for c in cycles]
+    """The masks of the given cycles, or of g's isometric cycles.  Raises
+    LengthMismatch for a given cycle whose width is not g's edge count."""
+    if cycles is None:
+        return _cycle_masks(g)
+    for c in cycles:
+        if c.m != g.m:
+            raise LengthMismatch(f"widths differ: {c.m} vs {g.m}")
+    return [c.bits for c in cycles]
 
 
 def rim(g: Graph, cycles: tuple[EdgeSet, ...] | None = None) -> EdgeSet:
@@ -371,7 +376,9 @@ def build_cycle_spectrum(
 
 
 def _vertex_sums(g: Graph, xi: Sequence[int]) -> list[int]:
-    """zeta of one level: xi summed over the edges incident to each vertex."""
+    """zeta of one level: xi summed over the edges incident to each vertex.
+    It serves packed lanes too: with a value per 64-bit lane in each xi,
+    each sum holds a vertex's zeta per lane, as no lane overflows."""
     zeta = [0] * (g.n + 1)
     for (u, v), x in zip(g.edges, xi):
         zeta[u] += x
@@ -485,13 +492,8 @@ def _blocks(
             x += x >> 16
             x += x >> 32
             xis.append(x & counts)
-        # zeta: xi added lane by lane over the edges at each vertex
-        zetas = [0] * (g.n + 1)
-        for (u, v), x in zip(g.edges, xis):
-            zetas[u] += x
-            zetas[v] += x
         # only the lanes that masks holds, fewer in a last block
-        xi, zeta = _unpack(xis, lanes), _unpack(zetas[1:], lanes)
+        xi, zeta = _unpack(xis, lanes), _unpack(_vertex_sums(g, xis), lanes)
         values = _unpack(packed[1:], lanes) if keep_rows else None
         for j, mask in enumerate(masks):
             rows = values[j::lanes] if keep_rows else None

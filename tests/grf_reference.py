@@ -22,6 +22,8 @@ from edgespec.errors import (
     BadOffsets,
     DisconnectedGraph,
     DuplicateNeighbor,
+    EdgespecError,
+    GraphError,
     GrfParseError,
     LoopFound,
     OddNeighborCount,
@@ -195,8 +197,15 @@ def parse_edgelist(text: str) -> RefGraph:
 
 
 def load_graph(text: str) -> RefGraph:
-    """Either format, the offset format first."""
+    """Either format, the offset format first; an edge list whenever the
+    offset reading fails, and the offset reading's error when both fail
+    and the text parses as an offset-format file."""
     try:
         return parse_grf(text)
     except GrfParseError:
         return parse_edgelist(text)
+    except GraphError as exc:
+        try:
+            return parse_edgelist(text)
+        except EdgespecError:
+            raise exc from None

@@ -260,6 +260,25 @@ CATALOGUE = (
         kill=("tests/test_grf_oracle.py",),
     ),
     Mutant(
+        "constructor_without_range_check",
+        "src/edgespec/graphs.py",
+        "            if not (1 <= u <= n and 1 <= v <= n):\n"
+        "                raise VertexOutOfRange(f\"edge ({u},{v}) outside 1..{n}\")\n",
+        "",
+        kill=("tests/test_grf_oracle.py",),
+    ),
+    Mutant(
+        "loader_fallback_parse_errors_only",
+        "src/edgespec/grf.py",
+        "    except GraphError as exc:\n"
+        "        try:\n"
+        "            return parse_edgelist(text)\n"
+        "        except EdgespecError:\n"
+        "            raise exc from None\n",
+        "",
+        kill=("tests/test_grf_oracle.py",),
+    ),
+    Mutant(
         "adjacency_symmetry_unchecked",
         "src/edgespec/graphs.py",
         "if listed != lower:",

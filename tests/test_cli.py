@@ -124,6 +124,16 @@ class TestInvariant:
         assert r.exit_code == 0
         assert "IS: (3×2) & (3×4)" in r.stdout.splitlines()
 
+    def test_reads_an_edge_list_that_parses_as_an_offset_header(self, runner, tmp_path):
+        # "2 1 2 3" reads as n = 2 with offsets 1 2 3, whose rows name
+        # vertex 3; the loader then reads the text as an edge list, as a
+        # .txt path is read
+        triangle = "2 1\n2 3\n3 1\n"
+        r = runner.invoke(main, ["invariant", "-"], input=triangle)
+        assert (r.exit_code, r.stderr) == (0, "")
+        listed = runner.invoke(main, ["invariant", write(tmp_path, "t.txt", triangle)])
+        assert r.stdout == listed.stdout
+
     def test_edge_count_note_caps_the_levels(self, runner, tmp_path):
         path = grf_file(tmp_path, "k12.grf", fx.k_n(12))
         r = runner.invoke(main, ["invariant", path])

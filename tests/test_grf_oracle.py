@@ -16,8 +16,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from edgespec import (
+    DuplicateNeighbor,
     EdgespecError,
     Graph,
+    LoopFound,
+    VertexOutOfRange,
     build_graph,
     graph_from_edges,
     load_graph,
@@ -50,6 +53,7 @@ PACKAGE = {
     "load": load_graph,
     "build": build_graph,
     "from_edges": graph_from_edges,
+    "graph": Graph,
 }
 REFERENCE = {
     "grf": ref.parse_grf,
@@ -57,6 +61,7 @@ REFERENCE = {
     "load": ref.load_graph,
     "build": ref.build_graph,
     "from_edges": ref.graph_from_edges,
+    "graph": ref.graph_from_edges,
 }
 
 
@@ -184,6 +189,7 @@ def test_valid_files_give_equal_graphs(graph, rnd):
     assert not failed(agree("build", n, rows))
     assert not failed(agree("build", n, {v: row for v, row in enumerate(rows, 1) if row}))
     assert not failed(agree("from_edges", n, listed))
+    assert not failed(agree("graph", n, listed))
 
 
 @pytest.mark.parametrize("g", FIXTURES, ids=repr)
@@ -191,6 +197,20 @@ def test_constructor_matches_the_reference(g):
     got = Graph(g.n, g.edges)
     want = ref.make_graph(g.n, g.edges)
     assert (got.n, got.edges, got._adj, got._cut) == (want.n, want.edges, want._adj, want._cut)
+
+
+# Graph(n, pairs) checks what it is given: a repeated pair, an endpoint
+# outside 1..n and a loop each raise their own error
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ([(1, 2), (1, 2), (2, 3), (1, 3)], DuplicateNeighbor),
+        ([(1, 5), (1, 2)], VertexOutOfRange),
+        ([(1, 1), (1, 2)], LoopFound),
+    ],
+)
+def test_constructor_names_what_no_simple_graph_lists(pairs, error):
+    assert agree("graph", 3, pairs)[0] is error
 
 
 def corrupt_rows(rnd: Random, n: int, rows, offsets) -> None:
@@ -290,6 +310,7 @@ def test_builders_raise_the_same_error_on_any_rows(case):
     agree("build", n, rows)
     agree("build", n, dict(enumerate(rows, 1)))
     agree("from_edges", n, pairs)
+    agree("graph", n, pairs)
 
 
 @pytest.mark.parametrize(
@@ -318,3 +339,21 @@ def test_builders_raise_the_same_error_on_any_rows(case):
 def test_named_faults_raise_the_same_error(kind, text):
     assert failed(agree(kind, text))
     agree("load", text)
+
+
+# Edge lists whose tokens also read as an offset-format file that names a
+# vertex past its count: the offset reading raises a GraphError, and the
+# loader reads an edge list instead
+@pytest.mark.parametrize("text", ["2 1\n2 3\n3 1\n", "+2 +1\r\n\r\n+2 +3\r\n+3 +1\r\n"])
+def test_edge_lists_read_as_bad_offset_files_load_as_edge_lists(text):
+    assert failed(agree("grf", text))
+    got = agree("load", text)
+    assert not failed(got) and got == agree("edges", text)
+
+
+def test_loader_names_the_offset_error_when_both_readings_fail():
+    # n = 2, offsets 1 2 3 and rows [3] and [1]; line "2" is no pair
+    text = "2\n1 2 3\n3 1\n"
+    got = agree("load", text)
+    assert got == agree("grf", text) and got[0] is VertexOutOfRange
+    assert failed(agree("edges", text))

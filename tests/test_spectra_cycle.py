@@ -3,6 +3,7 @@
 import pytest
 
 from edgespec import (
+    LengthMismatch,
     NotNonseparable,
     base_edge_cycles,
     build_cycle_spectrum,
@@ -138,6 +139,19 @@ def test_cycles_argument_is_trusted():
     direct = build_cycle_spectrum(g, level_cap=None)
     seeded = build_cycle_spectrum(g, level_cap=None, cycles=given)
     assert seeded.levels == direct.levels
+
+
+def test_cycles_of_another_width_are_rejected():
+    # K5's ten triangles are 10-edge sets; Petersen has 15 edges
+    g, triangles = fx.petersen(), isometric_cycles(fx.k_n(5))
+    assert (g.m, {c.m for c in triangles}) == (15, {10})
+    for build in (
+        lambda: build_cycle_spectrum(g, cycles=triangles),
+        lambda: rim(g, triangles),
+        lambda: base_edge_cycles(g, triangles),
+    ):
+        with pytest.raises(LengthMismatch, match="widths differ: 10 vs 15"):
+            build()
 
 
 def test_separable_graphs_are_rejected():

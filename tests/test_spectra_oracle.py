@@ -30,7 +30,9 @@ import fixtures as fx
 import spectra_reference as ref
 
 # capped first: a fault that keeps a row alive fails a capped build
-# before an uncapped one can run without end
+# before an uncapped one can run without end; check_caps builds the None
+# cap capped too, a block past the reference's level count, before it
+# builds it uncapped
 CUT_CAPS = (1, 2, 3, None)
 CYCLE_CAPS = (1, 2, None)
 
@@ -51,9 +53,11 @@ def cycle_with_chords(n, m, seed):
     return graph_from_edges(n, sorted(cycle + chords[: m - n]))
 
 
-def assert_matches_reference(spec, base, cap):
+def assert_matches_reference(spec, base, cap, want=None):
+    """spec against the reference's build at cap, or against want, a
+    build of the reference made already."""
     g = spec.graph
-    levels, truncated, level_count = ref.build(g, base, cap)
+    levels, truncated, level_count = want or ref.build(g, base, cap)
     assert spec.levels == levels
     assert spec.truncated == truncated
     assert spec.level_count == level_count
@@ -67,13 +71,43 @@ def assert_matches_reference(spec, base, cap):
     )
 
 
+def check_whole(g, base, build):
+    """build(None) against the reference's whole table, after build(cap)
+    a block past the reference's level count, which must end untruncated
+    and equal: a fault that keeps a row alive fails at that cap, within
+    the memory of the spectrum it should have built, rather than growing
+    without end."""
+    want = ref.build(g, base, None)
+    for cap in (len(want[0]) + BLOCK, None):
+        spec = build(cap)
+        assert_matches_reference(spec, base, None, want)
+    return spec
+
+
+def whole_capped(g, base, build):
+    """build(cap) a block past the reference's level count, which must end
+    untruncated, and so is the whole spectrum; for checks that read the
+    spectrum but do not compare it with the reference's table."""
+    spec = build(len(ref.build(g, base, None)[0]) + BLOCK)
+    assert not spec.truncated
+    return spec
+
+
+def check_caps(g, base, build, caps):
+    """build(cap) against the reference at each cap, the None cap by
+    check_whole."""
+    for cap in caps:
+        if cap is None:
+            check_whole(g, base, build)
+        else:
+            assert_matches_reference(build(cap), base, cap)
+
+
 def check_graph(g):
     cuts = ref.base_edge_cuts(g)
-    for cap in CUT_CAPS:
-        assert_matches_reference(build_cut_spectrum(g, cap), cuts, cap)
+    check_caps(g, cuts, lambda cap: build_cut_spectrum(g, cap), CUT_CAPS)
     cycles = ref.base_edge_cycles(g, isometric_cycles(g))
-    for cap in CYCLE_CAPS:
-        assert_matches_reference(build_cycle_spectrum(g, cap), cycles, cap)
+    check_caps(g, cycles, lambda cap: build_cycle_spectrum(g, cap), CYCLE_CAPS)
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,10 +152,13 @@ def death_values(base):
     return out
 
 
-def check_capped_then_whole(g, levels):
+def check_capped_then_whole(g, levels, unchecked=False):
+    """check_block_path capped a block past the spectrum's known end,
+    then uncapped: both must end untruncated at that level count."""
     for cap in (levels + BLOCK, None):
-        spec = check_block_path(g, cap)
+        spec = check_block_path(g, cap, unchecked)
         assert len(spec.weights) == levels and not spec.truncated
+    return spec
 
 
 # random_cubic(Random(seed), 22), m = 33: (levels, the latest nu of a row
@@ -155,7 +192,7 @@ def test_death_value_in_the_top_bit_of_a_lane(block_levels):
 @pytest.mark.parametrize("n, seed", [(16, 1), (18, 2), (20, 4), (20, 6), (22, 1)])
 def test_deep_cubic_spectra_match_reference(n, seed):
     g = fx.random_cubic(Random(seed), n)
-    assert_matches_reference(build_cut_spectrum(g), ref.base_edge_cuts(g), None)
+    check_whole(g, ref.base_edge_cuts(g), lambda cap: build_cut_spectrum(g, cap))
 
 
 # edge counts just below, at and just above a multiple of 8: boundary
@@ -170,8 +207,7 @@ def test_byte_boundary_graphs_match_reference(n, m, seed):
 
 def test_single_edge_matches_reference():
     k2 = fx.k2()
-    for cap in CUT_CAPS:
-        assert_matches_reference(cut_spectrum_unchecked(k2, cap), ref.base_edge_cuts(k2), cap)
+    check_caps(k2, ref.base_edge_cuts(k2), lambda cap: cut_spectrum_unchecked(k2, cap), CUT_CAPS)
 
 
 def test_cubic_64_capped_matches_reference():
@@ -185,9 +221,10 @@ def test_cubic_64_capped_matches_reference():
 def test_table_step_agrees_with_reference_gamma(seed):
     rng = Random(seed)
     g = fx.random_nonseparable(rng, 4, 14) if seed % 2 else fx.random_cubic(rng, 16)
+    cuts, cycles = ref.base_edge_cuts(g), ref.base_edge_cycles(g, isometric_cycles(g))
     for base, spec in (
-        (ref.base_edge_cuts(g), build_cut_spectrum(g)),
-        (ref.base_edge_cycles(g, isometric_cycles(g)), build_cycle_spectrum(g, None)),
+        (cuts, whole_capped(g, cuts, lambda cap: build_cut_spectrum(g, cap))),
+        (cycles, whole_capped(g, cycles, lambda cap: build_cycle_spectrum(g, cap))),
     ):
         for prev, nxt in zip(spec.rows, spec.rows[1:]):
             for r, r_next in zip(prev, nxt):
@@ -198,8 +235,7 @@ def test_table_step_agrees_with_reference_gamma(seed):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_random_trees_match_reference(seed):
     t = random_tree(Random(seed))
-    for cap in CUT_CAPS:
-        assert_matches_reference(cut_spectrum_unchecked(t, cap), ref.base_edge_cuts(t), cap)
+    check_caps(t, ref.base_edge_cuts(t), lambda cap: cut_spectrum_unchecked(t, cap), CUT_CAPS)
 
 
 @pytest.mark.parametrize("seed", [37, 41, 48])
@@ -366,7 +402,9 @@ def test_double_count_identity_on_fixtures(name):
 
 @pytest.mark.parametrize("n, seed", [(16, 1), (18, 2), (20, 4), (20, 6), (22, 1)])
 def test_double_count_identity_on_deep_cubic_spectra(n, seed):
-    assert_double_count_identity(build_cut_spectrum(fx.random_cubic(Random(seed), n)))
+    g = fx.random_cubic(Random(seed), n)
+    cuts = ref.base_edge_cuts(g)
+    assert_double_count_identity(whole_capped(g, cuts, lambda cap: build_cut_spectrum(g, cap)))
 
 
 @pytest.mark.parametrize("n, m", [(5, 7), (6, 8), (6, 9), (10, 15), (10, 16), (11, 17)])
@@ -392,6 +430,11 @@ def test_double_count_identity_on_cubic_64_capped():
 def assert_factors_give_the_bases(g):
     identity = (0, *(1 << i for i in range(g.m)))
     for builder in (spectra._cut_builder(g, None), cycle_builder(g)):
+        # a factor with every slot empty, a tree's cycle factor, has a
+        # zero base, and a zero base has no level loop to step it
+        if not any(slots(builder)):
+            assert not any(builder.base)
+            continue
         step = spectra._factor_step(g.m, slots(builder))
         assert step(identity) == [0, *builder.base]
 
@@ -575,15 +618,13 @@ def test_sphere_pass_folds_the_hub(monkeypatch):
 
 def test_star_matches_reference():
     g = fx.star(8)
-    for cap in CUT_CAPS:
-        assert_matches_reference(cut_spectrum_unchecked(g, cap), ref.base_edge_cuts(g), cap)
+    check_caps(g, ref.base_edge_cuts(g), lambda cap: cut_spectrum_unchecked(g, cap), CUT_CAPS)
 
 
 def test_single_edge_cycle_spectrum_matches_reference():
     k2 = fx.k2()
-    for cap in CYCLE_CAPS:
-        spec = build_cycle_spectrum(k2, cap)
-        assert_matches_reference(spec, ref.base_edge_cycles(k2, ()), cap)
+    build = lambda cap: build_cycle_spectrum(k2, cap)
+    check_caps(k2, ref.base_edge_cycles(k2, ()), build, CYCLE_CAPS)
 
 
 # Past level m (m = edge count) the build stops adding each live row's
@@ -762,33 +803,31 @@ DEEP_TREES = {"path_m12": (13, 126), "path_m18": (19, 1022)}
 def test_deep_paths_match_reference(block_levels, name):
     n, levels = DEEP_TREES[name]
     g = fx.path(n)
-    spec = check_block_path(g, None, unchecked=True)
-    assert len(spec.weights) == levels
+    check_capped_then_whole(g, levels, unchecked=True)
     assert block_levels and block_levels[0] == levels - g.m - BLOCK
 
 
 def test_bipyramid_ends_mid_block(block_levels):
     g = fx.bipyramid(13)
-    spec = check_block_path(g, None)
     # 126 levels: the first block holds levels 103..166
-    assert (len(spec.weights), g.m + BLOCK) == (126, 103)
+    check_capped_then_whole(g, 126)
+    assert g.m + BLOCK == 103
     assert block_levels[0] == 126 - 103
 
 
 def test_cubic_ends_mid_block(block_levels):
     g = fx.random_cubic(Random(6), 20)
-    spec = check_block_path(g, None)
-    assert len(spec.weights) == 155
+    check_capped_then_whole(g, 155)
     assert block_levels[0] == 155 - g.m - BLOCK
 
 
 def test_cubic_row_dies_inside_a_block(block_levels):
     g = fx.random_cubic(Random(4), 20)
-    spec = check_block_path(g, None)
+    spec = check_capped_then_whole(g, 128)
     start = g.m + BLOCK
     # a row dies at level 127, lane 33 of the block from level 94, and
     # the rest at level 128
-    assert (len(spec.weights), start) == (128, 94)
+    assert start == 94
     assert spec.alive[127] != spec.alive[126] and spec.alive[127]
     assert block_levels[0] == 128 - start
 
@@ -821,10 +860,9 @@ def test_lane_boundary_edge_counts_match_reference(block_levels, m, blocks):
 
 def test_rows_die_inside_a_block_and_blocks_go_on(block_levels):
     g = cycle_with_chords(*CHORDED[63])
-    spec = check_block_path(g, None)
     # a row dies at level 180, inside the block of levels 127..190, and
     # the spectrum ends at level 360, inside its fourth block
-    assert len(spec.weights) == 360
+    spec = check_capped_then_whole(g, 360)
     assert spec.alive[180] != spec.alive[179] and spec.alive[180]
     assert block_levels[0] == 360 - 127
 
