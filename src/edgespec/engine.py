@@ -6,12 +6,13 @@ invariants, the base cycle-spectrum invariant, and optionally the line
 invariant.  Equality of all invariants is inconclusive; for small graphs
 an exhaustive search settles the question.
 
-The cut spectra of the two graphs are built in lockstep, each
-spectra.Spectrum drawing its levels from its _levels generator.  Both
-grow one level at a time, and each new common level is compared before
-the next is built, so a pair that first differs at level l builds at
-most l + 1 levels of each instead of both spectra to the end.  Every path here reads the
-weights its spectra record and keeps no rows.
+_cut builds the cut stage of the invariants and of compare, and
+_cycle_base every cycle base.  Each spectrum stage of compare, trees'
+cut spectra included, grows its two spectra in lockstep through
+_difference, one level at a time from their _levels generators, and
+compares each new common level before the next is built, so a pair that
+first differs at level l builds at most l + 1 levels of each.  Every
+path here reads the weights its spectra record and keeps no rows.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .errors import LimitExceeded, NotAPermutation, NotATree
 from .graphs import Graph, build_graph
 from .isometric import _cycle_masks
 from .linegraph import digital_invariant_IL, line_cycle_weights
-# neither _cut_builder nor Spectrum checks nonseparability: each caller
-# here checks the graph before it builds its cut spectrum
+# neither _cut_builder nor Spectrum checks nonseparability: _cut and the orbits do
 from .spectra import (
     Invariant,
     Spectrum,
@@ -42,6 +42,19 @@ def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1
 
 
+def _cut(g: Graph, max_levels: int | None) -> Spectrum:
+    """g's base-level cut spectrum: a tree's uncapped, any other's checked nonseparable."""
+    if is_tree(g):
+        return _cut_builder(g, None)
+    _check_nonseparable(g)
+    return _cut_builder(g, max_levels)
+
+
+def _cycle_base(g: Graph, limit: int) -> Spectrum:
+    """g's cycle spectrum over its isometric cycles, capped at IC's base level."""
+    return Spectrum("cycle", g, _cycle_masks(g, limit), 1)
+
+
 def tree_invariant(t: Graph) -> SpectrumInvariant:
     """Cut-spectrum invariant of a tree, never level-capped.
 
@@ -49,7 +62,7 @@ def tree_invariant(t: Graph) -> SpectrumInvariant:
     """
     if not is_tree(t):
         raise NotATree(f"graph has {t.m} edges on {t.n} vertices")
-    return spectrum_invariant(_cut_builder(t, None))
+    return spectrum_invariant(_cut(t, None))
 
 
 @dataclass(frozen=True)
@@ -78,12 +91,11 @@ def integral_invariant(
     with_line: bool = False,
     limit: int = 10**6,
 ) -> IntegralInvariant:
-    """Integral invariant; trees route to the uncapped tree mode."""
+    """Integral invariant; a tree's is its uncapped cut invariant alone."""
+    cut = spectrum_invariant(_cut(g, max_levels))
     if is_tree(g):
-        return IntegralInvariant(tree_invariant(g), None, None)
-    _check_nonseparable(g)
-    cut = spectrum_invariant(_cut_builder(g, max_levels))
-    cyc = spectrum_invariant(Spectrum("cycle", g, _cycle_masks(g, limit), 1))
+        return IntegralInvariant(cut, None, None)
+    cyc = spectrum_invariant(_cycle_base(g, limit))
     line = digital_invariant_IL(g, limit) if with_line else None
     return IntegralInvariant(cut, cyc, line)
 
@@ -114,32 +126,28 @@ def _settle_equal(g: Graph, h: Graph, brute_force_limit: int) -> ComparisonResul
     return ComparisonResult(Verdict.ISOMORPHIC, None, bijection)
 
 
-def _cut_witness(g: Graph, h: Graph, max_levels: int | None) -> str | None:
-    """The first cut-spectrum witness that separates g and h, or None.
+def _difference(a: Spectrum, b: Spectrum) -> str | None:
+    """Where spectra a and b first differ, or None if their invariants agree.
 
-    Both spectra grow in lockstep, one level at a time, and each new
-    common level's weights are compared before the next is built, so a
-    pair that differs at level l builds at most l + 1 levels of each.
-    When one spectrum ends the other is built to its end: the level
-    counts and the totals need every level.
+    Each new common level is compared before the next is built.  When one
+    spectrum ends the other is built to its end: the level counts (with
+    truncated) and the totals need every level.  Levels, then counts,
+    then totals separate exactly the pairs whose SpectrumInvariants differ.
     """
-    for x in (g, h):
-        _check_nonseparable(x)
-    gb, hb = _cut_builder(g, max_levels), _cut_builder(h, max_levels)
     l = 0
-    while l < min(len(gb.weights), len(hb.weights)):
-        if Invariant.from_weights(*gb.weights[l]) != Invariant.from_weights(*hb.weights[l]):
-            return f"cut spectrum level {l} invariant"
+    while l < min(len(a.weights), len(b.weights)):
+        if Invariant.from_weights(*a.weights[l]) != Invariant.from_weights(*b.weights[l]):
+            return f"level {l} invariant"
         l += 1
-        for b in (gb, hb):
-            b.extend(l + 1)
-    for b in (gb, hb):
-        b.extend(None)
-    if (gb.level_count, gb.truncated) != (hb.level_count, hb.truncated):
-        return f"cut spectrum level count {gb.level_count} vs {hb.level_count}"
+        for s in (a, b):
+            s.extend(l + 1)
+    for s in (a, b):
+        s.extend(None)
+    if (a.level_count, a.truncated) != (b.level_count, b.truncated):
+        return f"level count {a.level_count} vs {b.level_count}"
     # equal level counts mean equal lengths, so every level was compared
-    if _total_invariant(gb.weights) != _total_invariant(hb.weights):
-        return "cut spectrum total invariant"
+    if _total_invariant(a.weights) != _total_invariant(b.weights):
+        return "total invariant"
     return None
 
 
@@ -158,16 +166,13 @@ def compare_graphs(
         return _not_iso(f"edge count {g.m} vs {h.m}")
     if sorted(g.degrees()) != sorted(h.degrees()):
         return _not_iso("degree multiset")
-    if is_tree(g):
-        if tree_invariant(g) != tree_invariant(h):
-            return _not_iso("tree cut invariant")
-        return _settle_equal(g, h, brute_force_limit)
-    witness = _cut_witness(g, h, max_levels)
+    tree = is_tree(g)  # and so is h, of the same order and size
+    witness = _difference(_cut(g, max_levels), _cut(h, max_levels))
     if witness is not None:
-        return _not_iso(witness)
-    gc = spectrum_invariant(Spectrum("cycle", g, _cycle_masks(g, limit), 1))
-    hc = spectrum_invariant(Spectrum("cycle", h, _cycle_masks(h, limit), 1))
-    if gc != hc:
+        return _not_iso("tree cut invariant" if tree else "cut spectrum " + witness)
+    if tree:
+        return _settle_equal(g, h, brute_force_limit)
+    if _difference(_cycle_base(g, limit), _cycle_base(h, limit)) is not None:
         return _not_iso("cycle spectrum base invariant")
     if with_line:
         if digital_invariant_IL(g, limit) != digital_invariant_IL(h, limit):
@@ -202,7 +207,7 @@ def vertex_orbit_partition(
     """Group vertices by their cut, cycle, and optional line weight signatures."""
     _check_nonseparable(g)
     zeta_cut = vertex_weights(_cut_builder(g, max_levels))
-    zeta_cyc = vertex_weights(Spectrum("cycle", g, _cycle_masks(g, limit), 1))
+    zeta_cyc = vertex_weights(_cycle_base(g, limit))
     line_part = line_cycle_weights(g, limit)[1] if with_line else None
     signatures = []
     for v in g.vertices:

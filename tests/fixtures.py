@@ -881,6 +881,13 @@ def path(n: int) -> Graph:
     return graph_from_edges(n, [(v, v + 1) for v in range(1, n)])
 
 
+@cached
+def path_with_leaf(n: int, j: int) -> Graph:
+    """The path 1..n with a leaf, vertex n + 1, on vertex j: a tree of n
+    edges, whose degree multiset is the same for every 2 < j < n - 1."""
+    return graph_from_edges(n + 1, [(v, v + 1) for v in range(1, n)] + [(j, n + 1)])
+
+
 def tree_from_pruefer(seq) -> Graph:
     """The labelled tree on len(seq) + 2 vertices with Prüfer sequence seq:
     each entry joins the least remaining leaf to it, and the last two

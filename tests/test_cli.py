@@ -205,6 +205,16 @@ class TestCompare:
         assert r.exit_code == 0
         assert r.stdout.splitlines() == ["verdict: indistinguishable by invariants"]
 
+    def test_trees_that_differ_at_level_0(self, runner, tmp_path):
+        # 40-edge trees that differ at level 0, with 28,644 and 983,010 levels
+        paths = []
+        for j in (3, 5):
+            edges = fx.path_with_leaf(40, j).edges
+            paths.append(write(tmp_path, f"{j}.txt", "".join(f"{u} {v}\n" for u, v in edges)))
+        r = runner.invoke(main, ["compare", *paths])
+        assert r.exit_code == 1
+        assert r.stdout.splitlines() == ["verdict: not isomorphic", "witness: tree cut invariant"]
+
     def test_trees_get_no_cap_note(self, runner, tmp_path):
         a = write(tmp_path, "a.txt", SPIDER_33X2)
         b = write(tmp_path, "b.txt", SPIDER_33X2)

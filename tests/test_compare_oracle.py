@@ -93,6 +93,18 @@ def test_random_pairs_match_reference(seed, with_line):
         assert_matches_reference(g, h, with_line=with_line)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_random_tree_pairs_match_reference(seed):
+    # a Prüfer sequence and a shuffle of it give trees with equal degree
+    # multisets, so the cascade reaches the tree cut stage
+    rng = Random(seed)
+    n = rng.randint(3, 12)
+    seq = [rng.randint(1, n) for _ in range(n - 2)]
+    shuffle = rng.sample(seq, len(seq))
+    assert_matches_reference(fx.tree_from_pruefer(seq), fx.tree_from_pruefer(shuffle))
+
+
 @pytest.mark.parametrize(
     "n, seed", [(12, 2), (14, 8), (16, 7), (18, 0), (20, 5), (20, 4), (20, 6)]
 )

@@ -62,6 +62,16 @@ class TestIntegralInvariant:
         assert inv.cycle is None and inv.line is None
         assert str(inv) == fx.SPIDER_IT
 
+    def test_trees_take_no_cap(self):
+        # the spiders S(1,3,5) and S(1,4,4) first differ at cut level 1, so
+        # a cap of 1 would leave their compare to the exhaustive search
+        g, h = fx.path_with_leaf(9, 4), fx.path_with_leaf(9, 5)
+        for t in (g, h):
+            assert integral_invariant(t, max_levels=1) == integral_invariant(t)
+        capped = compare_graphs(g, h, max_levels=1)
+        assert capped == compare_graphs(g, h)
+        assert capped.witness == "tree cut invariant"
+
     def test_line_part_is_optional(self):
         inv = integral_invariant(fx.g_6v10e_b(), with_line=True)
         assert inv.line is not None
@@ -96,6 +106,18 @@ class TestCompareWitnesses:
 
     def test_tree_cut_invariant(self):
         r = compare_graphs(fx.spider_tree(), fx.caterpillar_tree())
+        assert r.verdict is Verdict.NOT_ISOMORPHIC
+        assert r.witness == "tree cut invariant"
+
+    def test_trees_stop_at_their_first_differing_level(self, monkeypatch):
+        # two 40-edge trees with equal degrees that differ at level 0, whose
+        # spectra run to 28,644 and 983,010 levels: no level past the base
+        # is built
+        def no_factor(m, slots):
+            raise AssertionError("level step built for a level-0 witness")
+
+        monkeypatch.setattr(edgespec.spectra, "_factor_step", no_factor)
+        r = compare_graphs(fx.path_with_leaf(40, 3), fx.path_with_leaf(40, 5))
         assert r.verdict is Verdict.NOT_ISOMORPHIC
         assert r.witness == "tree cut invariant"
 

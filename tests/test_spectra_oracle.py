@@ -261,7 +261,7 @@ def test_trees_with_late_repeats_match_reference(seed):
 @pytest.mark.parametrize("tree", [fx.spider_tree, fx.caterpillar_tree])
 def test_fixture_trees_match_reference(tree):
     t = tree()
-    assert_matches_reference(cut_spectrum_unchecked(t), ref.base_edge_cuts(t), None)
+    check_whole(t, ref.base_edge_cuts(t), lambda cap: cut_spectrum_unchecked(t, cap))
 
 
 @settings(max_examples=40, deadline=None)
@@ -383,16 +383,24 @@ def assert_double_count_identity(spec):
 
 
 def assert_identity_on_every_level(g):
-    # capped builds are prefixes of the uncapped ones
-    assert_double_count_identity(build_cut_spectrum(g))
-    assert_double_count_identity(build_cycle_spectrum(g, None))
+    # capped builds are prefixes of the whole ones, which whole_capped
+    # builds capped a block past the reference's level count
+    cuts = ref.base_edge_cuts(g)
+    assert_double_count_identity(whole_capped(g, cuts, lambda cap: build_cut_spectrum(g, cap)))
+    cycles = ref.base_edge_cycles(g, isometric_cycles(g))
+    assert_double_count_identity(whole_capped(g, cycles, lambda cap: build_cycle_spectrum(g, cap)))
+
+
+def assert_identity_on_tree(t):
+    cuts = ref.base_edge_cuts(t)
+    assert_double_count_identity(whole_capped(t, cuts, lambda cap: cut_spectrum_unchecked(t, cap)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_double_count_identity_on_random_graphs_and_trees(seed):
     assert_identity_on_every_level(fx.random_nonseparable(Random(seed)))
-    assert_double_count_identity(cut_spectrum_unchecked(random_tree(Random(seed))))
+    assert_identity_on_tree(random_tree(Random(seed)))
 
 
 @pytest.mark.parametrize("name", sorted(fx.NONSEPARABLE_FIXTURES))
@@ -415,7 +423,7 @@ def test_double_count_identity_on_byte_boundary_graphs(n, m, seed):
 
 @pytest.mark.parametrize("tree", [fx.k2, fx.spider_tree, fx.caterpillar_tree])
 def test_double_count_identity_on_fixture_trees(tree):
-    assert_double_count_identity(cut_spectrum_unchecked(tree()))
+    assert_identity_on_tree(tree())
 
 
 def test_double_count_identity_on_cubic_64_capped():
